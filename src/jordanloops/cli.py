@@ -153,12 +153,7 @@ def _cmd_simple(args) -> int:
             composite = True
             print(f"table {idx}: not simple (trivial loop)")
             continue
-        witness = None
-        for x in range(1, table.order):
-            closure = structure.normal_closure(table, [x])
-            if len(closure.members) < table.order:
-                witness = closure
-                break
+        witness = structure.find_proper_normal_subloop(table)
         if witness is None:
             print(f"table {idx}: simple")
         else:

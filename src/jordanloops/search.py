@@ -362,10 +362,13 @@ def propagate(pt: PartialTable, require_jordan: bool = True) -> PartialTable | N
 
 
 def _run(state: _State, options: SearchOptions, stats: SearchStats, models: list, start: float):
+    """Depth-first search on an explicit stack of (i, j, remaining candidates,
+    trail mark) frames, so depth is not bounded by the recursion limit."""
     node_limit = options.node_limit
     time_budget = options.time_budget
-
-    def dfs():
+    trail, queue = state.trail, state.queue
+    stack = []
+    while True:
         stats.nodes += 1
         if node_limit is not None and stats.nodes > node_limit:
             stats.seconds = time.monotonic() - start
@@ -383,21 +386,23 @@ def _run(state: _State, options: SearchOptions, stats: SearchStats, models: list
         sel = state.select()
         if sel is None:
             models.append(tuple(state.T))
-            return
-        i, j, c = sel
-        while c:
-            b = c & -c
-            c ^= b
-            v = b.bit_length() - 1
-            mark = len(state.trail)
-            if state.assign(i, j, v) and state.process_queue():
-                dfs()
-            else:
+        else:
+            i, j, c = sel
+            stack.append((i, j, c, len(trail)))
+        # backtrack to the next candidate that propagates cleanly
+        while stack:
+            i, j, c, mark = stack.pop()
+            if len(trail) > mark:
+                state.undo(mark)
+            if c:
+                b = c & -c
+                stack.append((i, j, c ^ b, mark))
+                if state.assign(i, j, b.bit_length() - 1) and state.process_queue():
+                    break
                 stats.failures += 1
-            state.undo(mark)
-            del state.queue[:]
-
-    dfs()
+                del queue[:]
+        else:
+            return
 
 
 def enumerate_loops(options: SearchOptions) -> tuple[list[MagmaTable], SearchStats]:

@@ -2,17 +2,12 @@
 from __future__ import annotations
 
 from .tables import MagmaTable, Permutation
-from .powers import SubsetClosure, generated_subloop
+from .powers import SubsetClosure, _check_element, _require_loop
 
 
 def _require_quasigroup(table: MagmaTable, op: str):
     if table.kind == "magma":
         raise ValueError(f"{op} requires a quasigroup or loop, got kind {table.kind!r}")
-
-
-def _require_loop(table: MagmaTable, op: str):
-    if table.kind != "loop":
-        raise ValueError(f"{op} requires a loop, got kind {table.kind!r}")
 
 
 def left_translation(table: MagmaTable, x: int) -> Permutation:
@@ -63,33 +58,50 @@ def conjugation(table: MagmaTable, x: int) -> Permutation:
     return tuple(inv[rows[x][z]] for z in range(n))
 
 
-def _inner_mappings(table: MagmaTable):
-    """All generating inner mappings, deduplicated."""
-    n = table.order
-    maps = set()
-    for x in range(n):
-        maps.add(conjugation(table, x))
-        for y in range(n):
-            maps.add(inner_left(table, x, y))
-            maps.add(inner_right(table, x, y))
-    return tuple(maps)
-
-
 def normal_closure(table: MagmaTable, seed) -> SubsetClosure:
-    """Smallest normal subloop containing the seed elements."""
+    """Smallest normal subloop containing the seed elements.
+
+    The normal subloops are the blocks of the multiplication group Mlt(L)
+    that contain the identity (Bruck 1958), so this merges 0 with the seed
+    in a union-find and closes the merges under the left and right
+    translations, which generate Mlt(L) (Atkinson, Math. Comp. 29, 1975).
+    The members are the class of 0.
+    """
     _require_loop(table, "normal_closure")
     seed = tuple(sorted(set(seed)))
-    maps = _inner_mappings(table)
-    members = set(generated_subloop(table, seed).members)
-    while True:
-        extra = {f[s] for f in maps for s in members} - members
-        if not extra:
-            return SubsetClosure(members=tuple(sorted(members)), generators=seed)
-        members = set(generated_subloop(table, tuple(members | extra)).members)
+    for s in seed:
+        _check_element(table, s)
+    rows = table.rows
+    n = table.order
+    gens = tuple(set(rows) | set(zip(*rows)))
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    pending = [(0, s) for s in seed if s]
+    for _, s in pending:
+        parent[s] = 0
+    left = n - 1 - len(pending)  # merges still possible before every element joins 0
+    while pending and left:
+        a, b = pending.pop()
+        for g in gens:
+            x, y = g[a], g[b]
+            rx, ry = find(x), find(y)
+            if rx != ry:
+                parent[ry] = rx
+                pending.append((x, y))
+                left -= 1
+    root = find(0)
+    members = tuple(x for x in range(n) if find(x) == root)
+    return SubsetClosure(members=members, generators=seed)
 
 
 def is_normal(table: MagmaTable, members) -> bool:
-    """Is the given subloop invariant under every inner mapping?"""
+    """Is the given subloop its own normal closure, that is, a block of
+    Mlt(L), or equivalently invariant under every inner mapping?"""
     _require_loop(table, "is_normal")
     if isinstance(members, SubsetClosure):
         members = members.members
@@ -101,17 +113,26 @@ def is_normal(table: MagmaTable, members) -> bool:
         for b in sub:
             if rows[a][b] not in sub:
                 raise ValueError(f"not a subloop: {a}*{b} = {rows[a][b]} escapes the subset")
-    return all(f[s] in sub for f in _inner_mappings(table) for s in sub)
+    return normal_closure(table, sub).members == tuple(sorted(sub))
+
+
+def find_proper_normal_subloop(table: MagmaTable) -> SubsetClosure | None:
+    """The normal closure of the smallest nonidentity element whose closure
+    is a proper subloop, or None when every such element normally generates
+    the whole loop.  This is the witness behind ``is_simple``."""
+    _require_loop(table, "find_proper_normal_subloop")
+    n = table.order
+    for x in range(1, n):
+        closure = normal_closure(table, (x,))
+        if len(closure.members) < n:
+            return closure
+    return None
 
 
 def is_simple(table: MagmaTable) -> bool:
     """No proper nontrivial normal subloop.
 
-    Decided by checking that every nonidentity element normally generates
-    the whole loop.  The trivial loop is not simple.
+    Decided by ``find_proper_normal_subloop`` finding no witness.  The
+    trivial loop is not simple.
     """
-    _require_loop(table, "is_simple")
-    n = table.order
-    if n == 1:
-        return False
-    return all(len(normal_closure(table, (x,)).members) == n for x in range(1, n))
+    return find_proper_normal_subloop(table) is None and table.order > 1

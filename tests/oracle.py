@@ -5,6 +5,8 @@ with only Latin-feasibility pruning, in a fixed cell order.
 """
 from __future__ import annotations
 
+from jordanloops.powers import generated_subloop
+from jordanloops.structure import conjugation, inner_left, inner_right
 from jordanloops.tables import MagmaTable, build_magma, check
 
 
@@ -92,3 +94,26 @@ def naive_parenthesizations(table: MagmaTable, c: int, k: int) -> frozenset:
             for b in naive_parenthesizations(table, c, k - i):
                 vals.add(table.rows[a][b])
     return frozenset(vals)
+
+
+def inner_mappings(table: MagmaTable) -> tuple:
+    """Every generating inner mapping T(x), L(x,y) and R(x,y), deduplicated."""
+    n = table.order
+    maps = set()
+    for x in range(n):
+        maps.add(conjugation(table, x))
+        for y in range(n):
+            maps.add(inner_left(table, x, y))
+            maps.add(inner_right(table, x, y))
+    return tuple(maps)
+
+
+def inner_mapping_closure(table: MagmaTable, seed, maps) -> tuple:
+    """Normal closure by definition: grow the generated subloop until every
+    mapping in ``maps`` (``inner_mappings(table)``) maps it into itself."""
+    members = set(generated_subloop(table, seed).members)
+    while True:
+        extra = {f[s] for f in maps for s in members} - members
+        if not extra:
+            return tuple(sorted(members))
+        members = set(generated_subloop(table, tuple(members | extra)).members)

@@ -220,6 +220,7 @@ def test_acceptance_5_simple_nonalternative_loops():
         ("tower depth 2", jordan_tower(2)),
         ("tower depth 3", jordan_tower(3)),
         ("tower depth 4", jordan_tower(4)),
+        ("tower depth 5", jordan_tower(5)),
         ("hypercube extension of Z7", hyper_extend(cyclic_group(7))),
     ]
     for name, t in subjects:

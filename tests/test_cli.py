@@ -106,6 +106,12 @@ class TestSearch:
         assert "node limit" in captured.err
         assert "# nodes=" in captured.out  # partial stats still reported
 
+    def test_node_limit_deeper_than_recursion_limit(self, capsys):
+        assert run(["search", "--order", "64", "--node-limit", "5000"]) == 2
+        captured = capsys.readouterr()
+        assert "node limit 5000 hit" in captured.err
+        assert captured.out.startswith("# nodes=5001 ")
+
     def test_bad_order(self, capsys):
         assert run(["search", "--order", "0"]) == 2
 
@@ -158,11 +164,12 @@ class TestSimple:
         f = write(tmp_path, "t.txt", serialize_table(cyclic_group(6)))
         assert run(["simple", f]) == 1
         out = capsys.readouterr().out
-        assert "not simple" in out and "size" in out
+        assert out == "table 1: not simple (proper normal subloop of size 3: {0,2,4})\n"
 
     def test_trivial_loop(self, tmp_path, capsys):
         f = write(tmp_path, "t.txt", "order 1\nkind loop\n0\n")
         assert run(["simple", f]) == 1
+        assert capsys.readouterr().out == "table 1: not simple (trivial loop)\n"
 
 
 class TestIso:

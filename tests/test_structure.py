@@ -1,10 +1,15 @@
 import itertools
+import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jordanloops.constructions import even_jordan, hyper_extend, jordan_tower
+from jordanloops.constructions import construct, even_jordan, hyper_extend, jordan_tower
 from jordanloops.structure import (
     conjugation,
+    find_proper_normal_subloop,
     inner_left,
     inner_right,
     is_normal,
@@ -13,7 +18,15 @@ from jordanloops.structure import (
     normal_closure,
     right_translation,
 )
-from jordanloops.tables import build_magma, check, cyclic_group, direct_product
+from jordanloops.tables import (
+    build_magma,
+    check,
+    cyclic_group,
+    direct_product,
+    find_isomorphism,
+    parse_tables,
+)
+from oracle import inner_mapping_closure, inner_mappings, relabel
 
 
 def symmetric_group_3():
@@ -25,6 +38,20 @@ def symmetric_group_3():
         for p in elems
     ]
     return build_magma(6, rows, "loop"), elems, index
+
+
+ORDER8_CLASSES = parse_tables((Path(__file__).parent / "data" / "order8_classes.txt").read_text())
+
+# Loops on which the block-search closure is checked against the
+# inner-mapping definition: towers, constructions, groups, a hypercube
+# extension, every class of order 8 and the nonabelian group S3.
+DIFFERENTIAL_LOOPS = (
+    [jordan_tower(d) for d in (1, 2, 3, 4)]
+    + [construct(n) for n in range(6, 30) if n != 9]
+    + [cyclic_group(n) for n in (6, 7, 8, 12)]
+    + [hyper_extend(cyclic_group(7)), symmetric_group_3()[0]]
+    + ORDER8_CLASSES
+)
 
 
 class TestTranslations:
@@ -111,6 +138,16 @@ class TestNormalClosure:
         sub = normal_closure(s3, [index[(1, 2, 0)]])
         assert is_normal(s3, sub)
 
+    def test_seed_out_of_range(self):
+        t = cyclic_group(6)
+        for bad in (6, -1):
+            with pytest.raises(ValueError):
+                normal_closure(t, [1, bad])
+
+    def test_requires_loop(self):
+        with pytest.raises(ValueError):
+            normal_closure(build_magma(2, [[1, 0], [0, 1]], "quasigroup"), [1])
+
     def test_is_normal_rejects_non_subloop(self):
         t = cyclic_group(6)
         with pytest.raises(ValueError):
@@ -134,6 +171,49 @@ class TestNormalClosure:
             assert expected == (closure.members == (0, x))
 
 
+class TestAgainstInnerMappingOracle:
+    def test_order8_classes_data(self):
+        assert len(ORDER8_CLASSES) == 22
+        for i, t in enumerate(ORDER8_CLASSES):
+            assert t.order == 8 and check(t, "commutative") and check(t, "jordan")
+            for u in ORDER8_CLASSES[:i]:
+                assert find_isomorphism(t, u) is None
+
+    def test_closures_witness_and_simplicity(self):
+        rng = random.Random(20260)
+        for t in DIFFERENTIAL_LOOPS:
+            n = t.order
+            maps = inner_mappings(t)
+            closures = [inner_mapping_closure(t, (x,), maps) for x in range(n)]
+            for x in range(n):
+                assert normal_closure(t, [x]).members == closures[x], (n, x)
+            for _ in range(5):
+                seed = rng.sample(range(n), 2)
+                assert normal_closure(t, seed).members == inner_mapping_closure(t, seed, maps)
+            proper = [c for c in closures[1:] if len(c) < n]
+            witness = find_proper_normal_subloop(t)
+            assert (None if witness is None else witness.members) == (proper[0] if proper else None)
+            assert is_simple(t) == (not proper)
+
+
+@st.composite
+def relabelled_loops(draw):
+    """A loop and a relabelling of its elements that fixes the identity 0."""
+    t = draw(st.sampled_from(DIFFERENTIAL_LOOPS))
+    return t, [0] + draw(st.permutations(range(1, t.order)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabelled_loops())
+def test_relabelling_maps_closures_and_simplicity(case):
+    t, perm = case
+    u = relabel(t, perm)
+    for x in range(t.order):
+        image = tuple(sorted(perm[m] for m in normal_closure(t, [x]).members))
+        assert normal_closure(u, [perm[x]]).members == image
+    assert is_simple(u) == is_simple(t)
+
+
 class TestSimplicity:
     def test_trivial_loop_not_simple(self):
         assert not is_simple(cyclic_group(1))
@@ -153,6 +233,11 @@ class TestSimplicity:
         assert is_simple(jordan_tower(1))
         assert is_simple(jordan_tower(2))
         assert is_simple(jordan_tower(3))
+
+    def test_witness(self):
+        assert find_proper_normal_subloop(cyclic_group(6)).members == (0, 2, 4)
+        assert find_proper_normal_subloop(cyclic_group(1)) is None
+        assert find_proper_normal_subloop(jordan_tower(3)) is None
 
     def test_hyper_extension_of_group_simple(self):
         assert is_simple(hyper_extend(cyclic_group(7)))
