@@ -83,8 +83,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    if args.order < 1:
-        raise _CliError(f"order must be positive, got {args.order}")
     options = SearchOptions(
         order=args.order,
         require_jordan=args.jordan,
@@ -116,18 +114,13 @@ def _cmd_search(args) -> int:
 def _cmd_powers(args) -> int:
     tables = _read_tables(args.file)
     for idx, table in enumerate(tables, start=1):
-        if table.kind != "loop":
-            raise _CliError(f"table {idx}: power computations need a loop, got {table.kind}")
-        if not 0 <= args.element < table.order:
-            raise _CliError(
-                f"table {idx}: element {args.element} out of range for order {table.order}"
-            )
         c = args.element
         max_k = args.max_k if args.max_k is not None else table.order + 1
-        if max_k < 1:
-            raise _CliError(f"--max-k must be positive, got {max_k}")
+        try:
+            profile = powers.power_profile(table, c, max_k, cap=max_k)
+        except ValueError as exc:
+            raise _CliError(f"table {idx}: {exc}") from exc
         print(f"table {idx}: element {c}, order {table.order}")
-        profile = powers.power_profile(table, c, max_k, cap=max_k)
         for k in range(1, max_k + 1):
             values = sorted(profile[k])
             tag = "well-defined" if len(values) == 1 else "ambiguous"
@@ -147,14 +140,14 @@ def _cmd_simple(args) -> int:
     tables = _read_tables(args.file)
     composite = False
     for idx, table in enumerate(tables, start=1):
-        if table.kind != "loop":
-            raise _CliError(f"table {idx}: simplicity is defined for loops, got {table.kind}")
+        try:
+            witness = structure.find_proper_normal_subloop(table)
+        except ValueError as exc:
+            raise _CliError(f"table {idx}: {exc}") from exc
         if table.order == 1:
             composite = True
             print(f"table {idx}: not simple (trivial loop)")
-            continue
-        witness = structure.find_proper_normal_subloop(table)
-        if witness is None:
+        elif witness is None:
             print(f"table {idx}: simple")
         else:
             composite = True
@@ -169,12 +162,13 @@ def _cmd_simple(args) -> int:
 def _cmd_iso(args) -> int:
     lhs = _read_tables(args.file1)[0]
     rhs = _read_tables(args.file2)[0]
-    if lhs.kind != "loop" or rhs.kind != "loop":
-        raise _CliError("isomorphism testing is supported for loop tables")
+    try:
+        mapping = find_isomorphism(lhs, rhs)
+    except ValueError as exc:
+        raise _CliError(str(exc)) from exc
     if lhs.order != rhs.order:
         print(f"not isomorphic: orders differ ({lhs.order} vs {rhs.order})")
         return 1
-    mapping = find_isomorphism(lhs, rhs)
     if mapping is None:
         print("not isomorphic")
         return 1

@@ -12,6 +12,7 @@ from typing import Mapping, Sequence
 from .tables import (
     MagmaTable,
     Permutation,
+    _escaping_pair,
     build_magma,
     check,
     cyclic_group,
@@ -278,10 +279,8 @@ def union_of_groups(group: MagmaTable, parts: Sequence, quasis: Sequence[MagmaTa
         if not p or p[0] != 0:
             raise ValueError("every part must contain the identity 0")
         members = set(p)
-        for a in p:
-            for b in p:
-                if group.rows[a][b] not in members:
-                    raise ValueError(f"part {p} is not closed under the group product")
+        if _escaping_pair(group.rows, p) is not None:
+            raise ValueError(f"part {p} is not closed under the group product")
         overlap = (seen & members) - {0}
         if overlap:
             raise ValueError(f"parts overlap outside the identity: {sorted(overlap)}")
@@ -327,11 +326,8 @@ class PartitionedQuasigroup:
         n = self.table.order
         seen = []
         for block in self.blocks:
-            members = set(block)
-            for a in block:
-                for b in block:
-                    if self.table.rows[a][b] not in members:
-                        raise ValueError(f"block {block} is not closed under the product")
+            if _escaping_pair(self.table.rows, block) is not None:
+                raise ValueError(f"block {block} is not closed under the product")
             seen.extend(block)
         if sorted(seen) != list(range(n)):
             raise ValueError("blocks must partition the carrier")
@@ -421,11 +417,9 @@ def construct(n: int) -> MagmaTable:
         )
     if n % 2 == 0:
         return even_jordan(n)
-    m = n - 1
-    l = (m & -m).bit_length() - 1
-    if (m >> l) >= 3:
+    if (n - 1) & (n - 2):  # n - 1 is not a power of 2
         return odd_jordan(n)
-    return fermat_jordan(l)
+    return fermat_jordan((n - 1).bit_length() - 1)
 
 
 # -- hypercube extension -------------------------------------------------

@@ -9,19 +9,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .tables import MagmaTable, Permutation, build_magma
+from .tables import (
+    MagmaTable,
+    Permutation,
+    _associativity_witness,
+    _check_element,
+    _power_walk,
+    _product_closure,
+    _require_loop,
+    build_magma,
+)
 
 DEFAULT_EXPONENT_CAP = 64
-
-
-def _require_loop(table: MagmaTable, op: str):
-    if table.kind != "loop":
-        raise ValueError(f"{op} requires a loop, got kind {table.kind!r}")
-
-
-def _check_element(table: MagmaTable, c: int):
-    if not 0 <= c < table.order:
-        raise ValueError(f"element {c} out of range 0..{table.order - 1}")
 
 
 def right_power(table: MagmaTable, c: int, k: int) -> int:
@@ -77,22 +76,7 @@ def is_well_defined(table: MagmaTable, c: int, k: int) -> bool:
     _check_element(table, c)
     if k < 0:
         raise ValueError(f"exponent must be nonnegative, got {k}")
-    rows = table.rows
-    powers = [0] * (k + 1)
-    for j in range(1, k + 1):
-        powers[j] = rows[c][powers[j - 1]]
-    memo = {0: True, 1: True}
-
-    def wd(j):
-        known = memo.get(j)
-        if known is not None:
-            return known
-        pj = powers[j]
-        ok = all(wd(i) and rows[powers[i]][powers[j - i]] == pj for i in range(1, j))
-        memo[j] = ok
-        return ok
-
-    return wd(k)
+    return sum(1 for _ in _power_walk(table.rows, c, k)) == k
 
 
 @dataclass(frozen=True)
@@ -105,46 +89,24 @@ class SubsetClosure:
 
 def generated_subloop(table: MagmaTable, gens) -> SubsetClosure:
     """Smallest subset containing 0 and the generators, closed under the
-    product and both divisions."""
+    product and both divisions.
+
+    Closing under the product suffices: in a finite loop, left (right)
+    multiplication by a member maps a product-closed subset into itself
+    injectively, hence onto itself, so every quotient of members is a member.
+    """
     _require_loop(table, "generated_subloop")
     gens = tuple(sorted(set(gens)))
-    for g in gens:
-        _check_element(table, g)
-    rows = table.rows
-    members = {0}
-    members.update(gens)
-    frontier = list(members)
-    while frontier:
-        a = frontier.pop()
-        ra = rows[a]
-        for b in tuple(members):
-            new = (ra[b], rows[b][a], ra.index(b), rows[b].index(a))
-            for v in new:
-                if v not in members:
-                    members.add(v)
-                    frontier.append(v)
+    _check_element(table, *gens)
+    members = _product_closure(table.rows, {0, *gens})
     return SubsetClosure(members=tuple(sorted(members)), generators=gens)
-
-
-def _associative_on(table: MagmaTable, members) -> bool:
-    rows = table.rows
-    for a in members:
-        ra = rows[a]
-        for b in members:
-            ab = ra[b]
-            rb = rows[b]
-            rab = rows[ab]
-            for c in members:
-                if rab[c] != ra[rb[c]]:
-                    return False
-    return True
 
 
 def is_power_associative(table: MagmaTable) -> bool:
     """Does every element generate an associative subloop?"""
     _require_loop(table, "is_power_associative")
     return all(
-        _associative_on(table, generated_subloop(table, (x,)).members)
+        _associativity_witness(table.rows, generated_subloop(table, (x,)).members) is None
         for x in range(table.order)
     )
 
@@ -153,16 +115,10 @@ def element_order(table: MagmaTable, c: int) -> int | None:
     """|<c>| when <c> is associative (then cyclic), else None."""
     _require_loop(table, "element_order")
     _check_element(table, c)
-    closure = generated_subloop(table, (c,))
-    if not _associative_on(table, closure.members):
+    members = generated_subloop(table, (c,)).members
+    if _associativity_witness(table.rows, members) is not None:
         return None
-    row = table.rows[c]
-    v = row[0]
-    k = 1
-    while v != 0:
-        v = row[v]
-        k += 1
-    return k
+    return len(members)
 
 
 # -- the well-definedness gap loop ---------------------------------------

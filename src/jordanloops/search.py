@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 
-from .tables import MagmaTable, ValidationError, _element_key, build_magma, check, find_isomorphism
+from .tables import MagmaTable, ValidationError, _element_key, _match_keyed, build_magma, check
 
 
 @dataclass(frozen=True)
@@ -451,14 +451,10 @@ def classify_up_to_iso(models) -> list[MagmaTable]:
     buckets: dict = {}
     reps: list = []
     for m in models:
-        key = tuple(sorted(_element_key(m, x) for x in range(m.order)))
-        found = False
-        for rep in buckets.setdefault(key, []):
-            if find_isomorphism(m, rep) is not None:
-                found = True
-                break
-        if not found:
-            buckets[key].append(m)
+        keys = [_element_key(m, x) for x in range(m.order)]
+        bucket = buckets.setdefault(tuple(sorted(keys)), [])
+        if all(_match_keyed(m, rep, keys, rep_keys) is None for rep, rep_keys in bucket):
+            bucket.append((m, keys))
             reps.append(m)
     reps.sort(key=lambda m: m.rows)
     return reps

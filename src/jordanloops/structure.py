@@ -1,24 +1,28 @@
 """Translations, inner mappings, normal subloops, and simplicity."""
 from __future__ import annotations
 
-from .tables import MagmaTable, Permutation
-from .powers import SubsetClosure, _check_element, _require_loop
-
-
-def _require_quasigroup(table: MagmaTable, op: str):
-    if table.kind == "magma":
-        raise ValueError(f"{op} requires a quasigroup or loop, got kind {table.kind!r}")
+from .tables import (
+    MagmaTable,
+    Permutation,
+    _check_element,
+    _escaping_pair,
+    _require_loop,
+    _require_quasigroup,
+)
+from .powers import SubsetClosure
 
 
 def left_translation(table: MagmaTable, x: int) -> Permutation:
     """The permutation z -> x*z."""
     _require_quasigroup(table, "left_translation")
+    _check_element(table, x)
     return table.rows[x]
 
 
 def right_translation(table: MagmaTable, x: int) -> Permutation:
     """The permutation z -> z*x."""
     _require_quasigroup(table, "right_translation")
+    _check_element(table, x)
     rows = table.rows
     return tuple(rows[z][x] for z in range(table.order))
 
@@ -33,6 +37,7 @@ def _inverse(perm) -> list:
 def inner_left(table: MagmaTable, x: int, y: int) -> Permutation:
     """L(x,y): z -> (y*x) \\ (y*(x*z)); fixes the identity."""
     _require_loop(table, "inner_left")
+    _check_element(table, x, y)
     rows = table.rows
     rx, ry = rows[x], rows[y]
     inv = _inverse(rows[ry[x]])
@@ -42,6 +47,7 @@ def inner_left(table: MagmaTable, x: int, y: int) -> Permutation:
 def inner_right(table: MagmaTable, x: int, y: int) -> Permutation:
     """R(x,y): z -> ((z*x)*y) / (x*y); fixes the identity."""
     _require_loop(table, "inner_right")
+    _check_element(table, x, y)
     rows = table.rows
     n = table.order
     xy = rows[x][y]
@@ -52,6 +58,7 @@ def inner_right(table: MagmaTable, x: int, y: int) -> Permutation:
 def conjugation(table: MagmaTable, x: int) -> Permutation:
     """T(x): z -> (x*z) / x; the identity map in a commutative loop."""
     _require_loop(table, "conjugation")
+    _check_element(table, x)
     rows = table.rows
     n = table.order
     inv = _inverse(tuple(rows[z][x] for z in range(n)))
@@ -69,8 +76,7 @@ def normal_closure(table: MagmaTable, seed) -> SubsetClosure:
     """
     _require_loop(table, "normal_closure")
     seed = tuple(sorted(set(seed)))
-    for s in seed:
-        _check_element(table, s)
+    _check_element(table, *seed)
     rows = table.rows
     n = table.order
     gens = tuple(set(rows) | set(zip(*rows)))
@@ -106,13 +112,13 @@ def is_normal(table: MagmaTable, members) -> bool:
     if isinstance(members, SubsetClosure):
         members = members.members
     sub = set(members)
+    _check_element(table, *sub)
     if 0 not in sub:
         raise ValueError("a subloop must contain the identity 0")
-    rows = table.rows
-    for a in sub:
-        for b in sub:
-            if rows[a][b] not in sub:
-                raise ValueError(f"not a subloop: {a}*{b} = {rows[a][b]} escapes the subset")
+    escape = _escaping_pair(table.rows, sub)
+    if escape is not None:
+        a, b = escape
+        raise ValueError(f"not a subloop: {a}*{b} = {table.rows[a][b]} escapes the subset")
     return normal_closure(table, sub).members == tuple(sorted(sub))
 
 

@@ -137,19 +137,14 @@ def find_counterexample(table: MagmaTable, prop: PropertyTag) -> str | None:
                     return f"x={x} y={y}: x*y={rows[x][y]} but y*x={rows[y][x]}"
         return None
     if prop == "associative":
-        for x in range(n):
-            rx = rows[x]
-            for y in range(n):
-                xy = rx[y]
-                ry = rows[y]
-                rxy = rows[xy]
-                for z in range(n):
-                    if rxy[z] != rx[ry[z]]:
-                        return (
-                            f"x={x} y={y} z={z}: (x*y)*z={rxy[z]} "
-                            f"but x*(y*z)={rx[ry[z]]}"
-                        )
-        return None
+        bad = _associativity_witness(rows, range(n))
+        if bad is None:
+            return None
+        x, y, z = bad
+        return (
+            f"x={x} y={y} z={z}: (x*y)*z={rows[rows[x][y]][z]} "
+            f"but x*(y*z)={rows[x][rows[y][z]]}"
+        )
     if prop == "idempotent":
         for x in range(n):
             if rows[x][x] != x:
@@ -210,20 +205,87 @@ def _require_quasigroup(table: MagmaTable, op: str):
         raise ValueError(f"{op} requires a quasigroup or loop, got kind {table.kind!r}")
 
 
+def _require_loop(table: MagmaTable, op: str):
+    if table.kind != "loop":
+        raise ValueError(f"{op} requires a loop, got kind {table.kind!r}")
+
+
+def _check_element(table: MagmaTable, *elements: int):
+    for c in elements:
+        if not 0 <= c < table.order:
+            raise ValueError(f"element {c} out of range 0..{table.order - 1}")
+
+
 def left_divide(table: MagmaTable, a: int, b: int) -> int:
     """The unique x with a*x = b."""
     _require_quasigroup(table, "left_divide")
+    _check_element(table, a, b)
     return table.rows[a].index(b)
 
 
 def right_divide(table: MagmaTable, a: int, b: int) -> int:
     """The unique x with x*a = b."""
     _require_quasigroup(table, "right_divide")
-    rows = table.rows
-    for x in range(table.order):
-        if rows[x][a] == b:
-            return x
-    raise AssertionError("non-Latin table slipped through validation")
+    _check_element(table, a, b)
+    return [row[a] for row in table.rows].index(b)
+
+
+def _associativity_witness(rows, members):
+    """First (x, y, z) drawn from ``members`` with (x*y)*z != x*(y*z), or None."""
+    for x in members:
+        rx = rows[x]
+        for y in members:
+            ry = rows[y]
+            rxy = rows[rx[y]]
+            for z in members:
+                if rxy[z] != rx[ry[z]]:
+                    return x, y, z
+    return None
+
+
+def _escaping_pair(rows, members):
+    """First (a, b) drawn from ``members`` whose product a*b is not a member,
+    or None when the subset is closed under the product."""
+    sub = set(members)
+    for a in members:
+        ra = rows[a]
+        for b in members:
+            if ra[b] not in sub:
+                return a, b
+    return None
+
+
+def _product_closure(rows, members):
+    """Close a set of elements under the table product."""
+    closed = set(members)
+    frontier = list(members)
+    while frontier:
+        a = frontier.pop()
+        ra = rows[a]
+        for b in tuple(closed):
+            for c in (ra[b], rows[b][a]):
+                if c not in closed:
+                    closed.add(c)
+                    frontier.append(c)
+    return closed
+
+
+def _power_walk(rows, c: int, limit: int):
+    """Yield c^1, c^2, ... up to c^limit while each power is well defined.
+
+    The recursive criterion: c^k is well defined when c^(k-1) is and every
+    split c^j * c^(k-j), 0 < j < k, gives the same value; the walk stops at
+    the first k where two splits disagree.
+    """
+    rc = rows[c]
+    powers = [0]
+    for k in range(1, limit + 1):
+        v = rc[powers[k - 1]]
+        for j in range(2, k):
+            if rows[powers[j]][powers[k - j]] != v:
+                return
+        powers.append(v)
+        yield v
 
 
 def opposite(table: MagmaTable) -> MagmaTable:
@@ -271,19 +333,9 @@ def _power_order(table: MagmaTable, x: int) -> int | None:
     Defined only when every parenthesization of x^k agrees for all k up to
     the table order; otherwise powers are ambiguous and the order is None.
     """
-    n = table.order
-    rows = table.rows
-    if x == 0:
-        return 1
-    powers = [0, x]
-    for k in range(2, n + 1):
-        vals = {rows[powers[i]][powers[k - i]] for i in range(1, k)}
-        if len(vals) != 1:
-            return None
-        v = vals.pop()
+    for k, v in enumerate(_power_walk(table.rows, x, table.order), start=1):
         if v == 0:
             return k
-        powers.append(v)
     return None
 
 
@@ -304,26 +356,10 @@ def _element_key(table: MagmaTable, x: int):
     return (-1 if order is None else order, commutant, seen[v], step - seen[v])
 
 
-def _product_closure(rows, members):
-    """Close a set of elements under the table product."""
-    closed = set(members)
-    frontier = list(members)
-    while frontier:
-        a = frontier.pop()
-        ra = rows[a]
-        for b in tuple(closed):
-            for c in (ra[b], rows[b][a]):
-                if c not in closed:
-                    closed.add(c)
-                    frontier.append(c)
-    return closed
-
-
 def find_isomorphism(lhs: MagmaTable, rhs: MagmaTable) -> Permutation | None:
     """A relabeling pi with pi(x*y) = pi(x)*pi(y), fixing pi(0) = 0, or None."""
-    for t in (lhs, rhs):
-        if t.kind != "loop":
-            raise ValueError(f"find_isomorphism requires loops, got kind {t.kind!r}")
+    _require_loop(lhs, "find_isomorphism")
+    _require_loop(rhs, "find_isomorphism")
     n = lhs.order
     if rhs.order != n:
         return None
@@ -331,6 +367,14 @@ def find_isomorphism(lhs: MagmaTable, rhs: MagmaTable) -> Permutation | None:
     keys2 = [_element_key(rhs, x) for x in range(n)]
     if sorted(keys1) != sorted(keys2):
         return None
+    return _match_keyed(lhs, rhs, keys1, keys2)
+
+
+def _match_keyed(lhs: MagmaTable, rhs: MagmaTable, keys1, keys2) -> Permutation | None:
+    """The matcher behind ``find_isomorphism``: the same search, given the
+    ``_element_key`` list of each loop, so a caller that already holds the
+    keys does not compute them again."""
+    n = lhs.order
     r1, r2 = lhs.rows, rhs.rows
 
     # greedy generating sequence: images of these determine the whole map

@@ -5,73 +5,56 @@ with only Latin-feasibility pruning, in a fixed cell order.
 """
 from __future__ import annotations
 
-from jordanloops.powers import generated_subloop
 from jordanloops.structure import conjugation, inner_left, inner_right
 from jordanloops.tables import MagmaTable, build_magma, check
+
+
+def _symmetric_fills(n: int, identity_border: bool) -> list:
+    """Every symmetric Latin square of order n as a list of rows, by
+    brute-force fill of the upper triangle; with ``identity_border`` row and
+    column 0 are fixed to 0..n-1 first."""
+    cells = [[-1] * n for _ in range(n)]
+    row_used = [0] * n
+    if identity_border:
+        for i in range(n):
+            cells[0][i] = cells[i][0] = i
+            row_used[i] = 1 << i
+        row_used[0] = (1 << n) - 1
+    todo = [(i, j) for i in range(1 if identity_border else 0, n) for j in range(i, n)]
+    out: list = []
+
+    def fill(k: int):
+        if k == len(todo):
+            out.append([row[:] for row in cells])
+            return
+        i, j = todo[k]
+        for v in range(n):
+            b = 1 << v
+            if row_used[i] & b or (i != j and row_used[j] & b):
+                continue
+            cells[i][j] = cells[j][i] = v
+            row_used[i] |= b
+            row_used[j] |= b
+            fill(k + 1)
+            row_used[i] &= ~b
+            if i != j:
+                row_used[j] &= ~b
+            cells[i][j] = cells[j][i] = -1
+
+    fill(0)
+    return out
 
 
 def naive_commutative_loops(n: int, require_jordan: bool) -> list[MagmaTable]:
     """Every commutative loop of order n, by brute-force fill of the upper
     triangle; leaves are filtered with the public property checks."""
-    cells = [[-1] * n for _ in range(n)]
-    for i in range(n):
-        cells[0][i] = cells[i][0] = i
-    row_used = [1 << i for i in range(n)]
-    row_used[0] = (1 << n) - 1
-    todo = [(i, j) for i in range(1, n) for j in range(i, n)]
-    out: list[MagmaTable] = []
-
-    def fill(k: int):
-        if k == len(todo):
-            table = build_magma(n, [row[:] for row in cells], "loop")
-            if not require_jordan or check(table, "jordan"):
-                out.append(table)
-            return
-        i, j = todo[k]
-        for v in range(n):
-            b = 1 << v
-            if row_used[i] & b or (i != j and row_used[j] & b):
-                continue
-            cells[i][j] = cells[j][i] = v
-            row_used[i] |= b
-            row_used[j] |= b
-            fill(k + 1)
-            row_used[i] &= ~b
-            if i != j:
-                row_used[j] &= ~b
-            cells[i][j] = cells[j][i] = -1
-
-    fill(0)
-    return out
+    tables = [build_magma(n, rows, "loop") for rows in _symmetric_fills(n, True)]
+    return [t for t in tables if not require_jordan or check(t, "jordan")]
 
 
 def symmetric_latin_squares(n: int) -> list[MagmaTable]:
     """Every commutative quasigroup of order n (no identity demanded)."""
-    cells = [[-1] * n for _ in range(n)]
-    row_used = [0] * n
-    todo = [(i, j) for i in range(n) for j in range(i, n)]
-    out: list[MagmaTable] = []
-
-    def fill(k: int):
-        if k == len(todo):
-            out.append(build_magma(n, [row[:] for row in cells], "quasigroup"))
-            return
-        i, j = todo[k]
-        for v in range(n):
-            b = 1 << v
-            if row_used[i] & b or (i != j and row_used[j] & b):
-                continue
-            cells[i][j] = cells[j][i] = v
-            row_used[i] |= b
-            row_used[j] |= b
-            fill(k + 1)
-            row_used[i] &= ~b
-            if i != j:
-                row_used[j] &= ~b
-            cells[i][j] = cells[j][i] = -1
-
-    fill(0)
-    return out
+    return [build_magma(n, rows, "quasigroup") for rows in _symmetric_fills(n, False)]
 
 
 def relabel(table: MagmaTable, perm) -> MagmaTable:
@@ -108,12 +91,30 @@ def inner_mappings(table: MagmaTable) -> tuple:
     return tuple(maps)
 
 
+def division_closure(table: MagmaTable, gens) -> tuple:
+    """Subloop generated by ``gens``, by definition: the smallest set holding
+    0 and the generators that is closed under the product and both
+    divisions."""
+    rows = table.rows
+    members = {0, *gens}
+    frontier = list(members)
+    while frontier:
+        a = frontier.pop()
+        ra = rows[a]
+        for b in tuple(members):
+            for v in (ra[b], rows[b][a], ra.index(b), rows[b].index(a)):
+                if v not in members:
+                    members.add(v)
+                    frontier.append(v)
+    return tuple(sorted(members))
+
+
 def inner_mapping_closure(table: MagmaTable, seed, maps) -> tuple:
     """Normal closure by definition: grow the generated subloop until every
     mapping in ``maps`` (``inner_mappings(table)``) maps it into itself."""
-    members = set(generated_subloop(table, seed).members)
+    members = set(division_closure(table, seed))
     while True:
         extra = {f[s] for f in maps for s in members} - members
         if not extra:
             return tuple(sorted(members))
-        members = set(generated_subloop(table, tuple(members | extra)).members)
+        members = set(division_closure(table, members | extra))

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jordanloops.constructions import construct, even_jordan, hyper_extend, jordan_tower
+from jordanloops.powers import generated_subloop
+from jordanloops.search import classify_up_to_iso
 from jordanloops.structure import (
     conjugation,
     find_proper_normal_subloop,
@@ -19,14 +21,17 @@ from jordanloops.structure import (
     right_translation,
 )
 from jordanloops.tables import (
+    PROPERTY_TAGS,
     build_magma,
     check,
     cyclic_group,
     direct_product,
     find_isomorphism,
+    left_divide,
     parse_tables,
+    right_divide,
 )
-from oracle import inner_mapping_closure, inner_mappings, relabel
+from oracle import division_closure, inner_mapping_closure, inner_mappings, relabel
 
 
 def symmetric_group_3():
@@ -52,6 +57,32 @@ DIFFERENTIAL_LOOPS = (
     + [hyper_extend(cyclic_group(7)), symmetric_group_3()[0]]
     + ORDER8_CLASSES
 )
+
+
+Z6 = cyclic_group(6)
+
+# Every public call that takes an element, with the element in each place.
+ELEMENT_CALLS = {
+    "left_divide a": lambda x: left_divide(Z6, x, 2),
+    "left_divide b": lambda x: left_divide(Z6, 1, x),
+    "right_divide a": lambda x: right_divide(Z6, x, 2),
+    "right_divide b": lambda x: right_divide(Z6, 1, x),
+    "left_translation": lambda x: left_translation(Z6, x),
+    "right_translation": lambda x: right_translation(Z6, x),
+    "inner_left x": lambda x: inner_left(Z6, x, 1),
+    "inner_left y": lambda x: inner_left(Z6, 1, x),
+    "inner_right x": lambda x: inner_right(Z6, x, 1),
+    "inner_right y": lambda x: inner_right(Z6, 1, x),
+    "conjugation": lambda x: conjugation(Z6, x),
+    "is_normal": lambda x: is_normal(Z6, [0, x]),
+}
+
+
+@pytest.mark.parametrize("bad", [-1, 6])
+@pytest.mark.parametrize("name", sorted(ELEMENT_CALLS))
+def test_element_out_of_range_is_value_error(name, bad):
+    with pytest.raises(ValueError, match="out of range"):
+        ELEMENT_CALLS[name](bad)
 
 
 class TestTranslations:
@@ -195,6 +226,14 @@ class TestAgainstInnerMappingOracle:
             assert (None if witness is None else witness.members) == (proper[0] if proper else None)
             assert is_simple(t) == (not proper)
 
+    def test_generated_subloop_matches_division_closure(self):
+        rng = random.Random(20261)
+        for t in DIFFERENTIAL_LOOPS:
+            n = t.order
+            seeds = [(x,) for x in range(n)] + [rng.sample(range(n), 2) for _ in range(5)]
+            for seed in seeds:
+                assert generated_subloop(t, seed).members == division_closure(t, seed), (n, seed)
+
 
 @st.composite
 def relabelled_loops(draw):
@@ -208,10 +247,18 @@ def relabelled_loops(draw):
 def test_relabelling_maps_closures_and_simplicity(case):
     t, perm = case
     u = relabel(t, perm)
-    for x in range(t.order):
-        image = tuple(sorted(perm[m] for m in normal_closure(t, [x]).members))
-        assert normal_closure(u, [perm[x]]).members == image
+    n = t.order
+    for x in range(n):
+        for closure in (normal_closure, generated_subloop):
+            image = tuple(sorted(perm[m] for m in closure(t, [x]).members))
+            assert closure(u, [perm[x]]).members == image
     assert is_simple(u) == is_simple(t)
+    for tag in PROPERTY_TAGS:
+        assert check(u, tag) == check(t, tag), tag
+    pi = find_isomorphism(t, u)
+    assert pi is not None and sorted(pi) == list(range(n)) and pi[0] == 0
+    assert all(pi[t.rows[x][y]] == u.rows[pi[x]][pi[y]] for x in range(n) for y in range(n))
+    assert len(classify_up_to_iso([t, u])) == 1
 
 
 class TestSimplicity:
