@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 
-from .tables import MagmaTable, ValidationError, _element_key, _match_keyed, build_magma, check
+from .tables import MagmaTable, ValidationError, build_magma, check, classify_up_to_iso
 
 
 @dataclass(frozen=True)
@@ -413,6 +413,10 @@ def enumerate_loops(options: SearchOptions) -> tuple[list[MagmaTable], SearchSta
         raise ValueError(f"order must be positive, got {n}")
     if n > 64:
         raise ValueError(f"order {n} is far beyond exhaustive reach")
+    for name in ("node_limit", "time_budget", "result_limit"):
+        limit = getattr(options, name)
+        if limit is not None and not limit >= 0:  # also rejects a NaN budget
+            raise ValueError(f"{name} must be non-negative, got {limit}")
     stats = SearchStats()
     start = time.monotonic()
     state = _State(n, options.require_jordan)
@@ -433,28 +437,3 @@ def enumerate_loops(options: SearchOptions) -> tuple[list[MagmaTable], SearchSta
         tables = tables[: options.result_limit]
     stats.seconds = time.monotonic() - start
     return tables, stats
-
-
-def classify_up_to_iso(models) -> list[MagmaTable]:
-    """One representative per isomorphism class: its lexicographically least
-    member, representatives sorted the same way."""
-    models = list(models)
-    if not models:
-        return []
-    orders = {m.order for m in models}
-    if len(orders) != 1:
-        raise ValueError(f"mixed orders {sorted(orders)} cannot be classified together")
-    for m in models:
-        if m.kind != "loop":
-            raise ValueError("classification requires loop tables")
-    models.sort(key=lambda m: m.rows)
-    buckets: dict = {}
-    reps: list = []
-    for m in models:
-        keys = [_element_key(m, x) for x in range(m.order)]
-        bucket = buckets.setdefault(tuple(sorted(keys)), [])
-        if all(_match_keyed(m, rep, keys, rep_keys) is None for rep, rep_keys in bucket):
-            bucket.append((m, keys))
-            reps.append(m)
-    reps.sort(key=lambda m: m.rows)
-    return reps

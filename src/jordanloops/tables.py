@@ -327,25 +327,13 @@ def cyclic_group(n: int) -> MagmaTable:
 
 # -- isomorphism ---------------------------------------------------------
 
-def _power_order(table: MagmaTable, x: int) -> int | None:
-    """Least k with x^k = identity, or None.
-
-    Defined only when every parenthesization of x^k agrees for all k up to
-    the table order; otherwise powers are ambiguous and the order is None.
-    """
-    for k, v in enumerate(_power_walk(table.rows, x, table.order), start=1):
-        if v == 0:
-            return k
-    return None
-
-
-def _element_key(table: MagmaTable, x: int):
-    """Cheap isomorphism-invariant data for one element."""
-    rows = table.rows
-    n = table.order
-    order = _power_order(table, x)
+def _element_key(rows, x: int):
+    """Cheap isomorphism-invariant data for one element: its power order
+    (-1 if no well-defined x^k, k <= n, is 0), its commutant size, and the
+    tail and cycle lengths of its iterated-squaring walk."""
+    n = len(rows)
+    order = next((k for k, v in enumerate(_power_walk(rows, x, n), start=1) if v == 0), -1)
     commutant = sum(1 for y in range(n) if rows[x][y] == rows[y][x])
-    # iterated-squaring walk: steps until a repeat, then the cycle length
     seen = {}
     v = x
     step = 0
@@ -353,50 +341,48 @@ def _element_key(table: MagmaTable, x: int):
         seen[v] = step
         v = rows[v][v]
         step += 1
-    return (-1 if order is None else order, commutant, seen[v], step - seen[v])
+    return (order, commutant, seen[v], step - seen[v])
 
 
-def find_isomorphism(lhs: MagmaTable, rhs: MagmaTable) -> Permutation | None:
-    """A relabeling pi with pi(x*y) = pi(x)*pi(y), fixing pi(0) = 0, or None."""
-    _require_loop(lhs, "find_isomorphism")
-    _require_loop(rhs, "find_isomorphism")
-    n = lhs.order
-    if rhs.order != n:
-        return None
-    keys1 = [_element_key(lhs, x) for x in range(n)]
-    keys2 = [_element_key(rhs, x) for x in range(n)]
-    if sorted(keys1) != sorted(keys2):
-        return None
-    return _match_keyed(lhs, rhs, keys1, keys2)
-
-
-def _match_keyed(lhs: MagmaTable, rhs: MagmaTable, keys1, keys2) -> Permutation | None:
-    """The matcher behind ``find_isomorphism``: the same search, given the
-    ``_element_key`` list of each loop, so a caller that already holds the
-    keys does not compute them again."""
-    n = lhs.order
-    r1, r2 = lhs.rows, rhs.rows
-
-    # greedy generating sequence: images of these determine the whole map
+def _generators(rows) -> list[int]:
+    """Greedy generating sequence: at each step, the least element outside
+    the subloop generated so far.  Each one at least doubles that subloop,
+    so there are at most log2(n) of them."""
+    n = len(rows)
     gens = []
     closed = {0}
     while len(closed) < n:
-        g = min(set(range(n)) - closed)
+        g = next(x for x in range(n) if x not in closed)
         gens.append(g)
-        closed = _product_closure(r1, closed | {g})
+        closed = _product_closure(rows, closed | {g})
+    return gens
 
-    def close(pi, used, mapped, a, b):
-        """Set pi[a]=b and propagate products; False on conflict."""
-        if keys1[a] != keys2[b] or used[b]:
-            return False
+
+def _match(r1, keys1, gens, r2, keys2) -> Permutation | None:
+    """The isomorphism from rows ``r1`` to ``r2`` that maps equal
+    ``_element_key``s and takes the generators ``gens`` of ``r1`` to the
+    lexicographically least images, or None.
+
+    ``mapped``, the elements in the order they got an image, is also the
+    propagation queue: ``mapped[k]`` is multiplied with ``mapped[:k+1]``, so
+    each pair is checked once, and a failed candidate is undone by cutting
+    ``mapped`` back to its mark."""
+    n = len(r1)
+    pi = [-1] * n
+    used = [False] * n
+    mapped = []
+
+    def extend(a, b, mark):
+        """Set pi[a] = b and close the map under products; False on a conflict."""
         pi[a] = b
         used[b] = True
         mapped.append(a)
-        queue = [a]
-        while queue:
-            u = queue.pop()
+        k = mark
+        while k < len(mapped):
+            u = mapped[k]
             pu = pi[u]
-            for w in tuple(mapped):
+            for i in range(k + 1):
+                w = mapped[i]
                 pw = pi[w]
                 for c1, c2 in ((r1[u][w], r2[pu][pw]), (r1[w][u], r2[pw][pu])):
                     m = pi[c1]
@@ -406,33 +392,65 @@ def _match_keyed(lhs: MagmaTable, rhs: MagmaTable, keys1, keys2) -> Permutation 
                         pi[c1] = c2
                         used[c2] = True
                         mapped.append(c1)
-                        queue.append(c1)
                     elif m != c2:
                         return False
+            k += 1
         return True
 
-    def backtrack(idx, pi, used, mapped):
-        while idx < len(gens) and pi[gens[idx]] != -1:
-            idx += 1
+    def search(idx):
         if idx == len(gens):
-            return pi
+            return True
         g = gens[idx]
+        mark = len(mapped)
         for cand in range(n):
-            pi2 = pi.copy()
-            used2 = used.copy()
-            mapped2 = mapped.copy()
-            if close(pi2, used2, mapped2, g, cand):
-                result = backtrack(idx + 1, pi2, used2, mapped2)
-                if result is not None:
-                    return result
-        return None
+            if used[cand] or keys1[g] != keys2[cand]:
+                continue
+            if extend(g, cand, mark) and search(idx + 1):
+                return True
+            for a in mapped[mark:]:
+                used[pi[a]] = False
+                pi[a] = -1
+            del mapped[mark:]
+        return False
 
-    pi0 = [-1] * n
-    pi0[0] = 0
-    used0 = [False] * n
-    used0[0] = True
-    result = backtrack(0, pi0, used0, [0])
-    return None if result is None else tuple(result)
+    return tuple(pi) if extend(0, 0, 0) and search(0) else None
+
+
+def find_isomorphism(lhs: MagmaTable, rhs: MagmaTable) -> Permutation | None:
+    """A relabeling pi with pi(x*y) = pi(x)*pi(y), fixing pi(0) = 0, or None."""
+    _require_loop(lhs, "find_isomorphism")
+    _require_loop(rhs, "find_isomorphism")
+    n = lhs.order
+    if rhs.order != n:
+        return None
+    r1, r2 = lhs.rows, rhs.rows
+    keys1 = [_element_key(r1, x) for x in range(n)]
+    keys2 = [_element_key(r2, x) for x in range(n)]
+    if sorted(keys1) != sorted(keys2):
+        return None
+    return _match(r1, keys1, _generators(r1), r2, keys2)
+
+
+def classify_up_to_iso(models) -> list[MagmaTable]:
+    """One representative per isomorphism class: its lexicographically least
+    member, representatives sorted the same way."""
+    models = sorted(models, key=lambda m: m.rows)
+    orders = {m.order for m in models}
+    if len(orders) > 1:
+        raise ValueError(f"mixed orders {sorted(orders)} cannot be classified together")
+    for m in models:
+        _require_loop(m, "classify_up_to_iso")
+    buckets: dict = {}
+    reps: list = []
+    for m in models:
+        rows = m.rows
+        keys = [_element_key(rows, x) for x in range(m.order)]
+        gens = _generators(rows)
+        bucket = buckets.setdefault(tuple(sorted(keys)), [])
+        if all(_match(rows, keys, gens, r, r_keys) is None for r, r_keys in bucket):
+            bucket.append((rows, keys))
+            reps.append(m)
+    return reps
 
 
 # -- text wire format ----------------------------------------------------

@@ -5,6 +5,8 @@ with only Latin-feasibility pruning, in a fixed cell order.
 """
 from __future__ import annotations
 
+import itertools
+
 from jordanloops.structure import conjugation, inner_left, inner_right
 from jordanloops.tables import MagmaTable, build_magma, check
 
@@ -118,3 +120,51 @@ def inner_mapping_closure(table: MagmaTable, seed, maps) -> tuple:
         if not extra:
             return tuple(sorted(members))
         members = set(division_closure(table, members | extra))
+
+
+def greedy_generators(table: MagmaTable) -> list:
+    """The generating sequence the isomorphism search branches on: at each
+    step, the least element outside the subloop generated so far."""
+    gens: list = []
+    members = {0}
+    while len(members) < table.order:
+        gens.append(min(set(range(table.order)) - members))
+        members = set(division_closure(table, members | {gens[-1]}))
+    return gens
+
+
+def _relabellings(n: int):
+    """Every permutation of 0..n-1 that fixes the identity 0."""
+    return ((0, *rest) for rest in itertools.permutations(range(1, n)))
+
+
+def least_isomorphism(lhs: MagmaTable, rhs: MagmaTable):
+    """Of all identity-fixing isomorphisms lhs -> rhs, tried one by one, the
+    one whose images of ``greedy_generators(lhs)`` are lexicographically
+    least; None when there is none."""
+    n = lhs.order
+    if rhs.order != n:
+        return None
+    r1, r2 = lhs.rows, rhs.rows
+    isos = [
+        pi for pi in _relabellings(n)
+        if all(pi[r1[x][y]] == r2[pi[x]][pi[y]] for x in range(n) for y in range(n))
+    ]
+    gens = greedy_generators(lhs)
+    return min(isos, key=lambda pi: [pi[g] for g in gens], default=None)
+
+
+def canonical_form(table: MagmaTable) -> tuple:
+    """The least table rows over every identity-fixing relabelling; two loops
+    are isomorphic exactly when their canonical forms are equal."""
+    n = table.order
+    rows = table.rows
+    best = None
+    for pi in _relabellings(n):
+        inv = [0] * n
+        for x, y in enumerate(pi):
+            inv[y] = x
+        form = tuple(tuple(pi[rows[inv[i]][inv[j]]] for j in range(n)) for i in range(n))
+        if best is None or form < best:
+            best = form
+    return best

@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import jordanloops
 from jordanloops.cli import run
 from jordanloops.constructions import even_jordan, jordan_tower
 from jordanloops.tables import parse_table, parse_tables, serialize_table
@@ -12,6 +15,19 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def run_module(*args):
+    """``python -m jordanloops.cli`` in a child process that imports the
+    package under test, however this process found it."""
+    src = str(Path(jordanloops.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "jordanloops.cli", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 class TestConstruct:
@@ -115,6 +131,13 @@ class TestSearch:
     def test_bad_order(self, capsys):
         assert run(["search", "--order", "0"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--limit", "--node-limit", "--budget"])
+    def test_negative_limit_is_parameter_error(self, flag, capsys):
+        assert run(["search", "--order", "6", flag, "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be non-negative" in captured.err
+
 
 class TestPowers:
     def test_gap_loop_report(self, tmp_path, capsys):
@@ -209,20 +232,12 @@ class TestTower:
 
 class TestEntryPoints:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "jordanloops.cli", "construct", "--order", "6"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("construct", "--order", "6")
         assert proc.returncode == 0
         assert parse_table(proc.stdout) == even_jordan(6)
 
     def test_help_exits_zero(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "jordanloops.cli", "--help"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("--help")
         assert proc.returncode == 0
         assert "construct" in proc.stdout
 

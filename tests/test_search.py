@@ -19,7 +19,7 @@ from jordanloops.tables import (
     cyclic_group,
     find_isomorphism,
 )
-from oracle import naive_commutative_loops, relabel
+from oracle import canonical_form, naive_commutative_loops, relabel
 
 
 class TestPartialTable:
@@ -269,6 +269,14 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_loops(SearchOptions(order=65))
 
+    @pytest.mark.parametrize(
+        "limit,value",
+        [("result_limit", -1), ("node_limit", -1), ("time_budget", -1.0), ("time_budget", float("nan"))],
+    )
+    def test_negative_limits_rejected(self, limit, value):
+        with pytest.raises(ValueError, match=limit):
+            enumerate_loops(SearchOptions(order=6, **{limit: value}))
+
 
 class TestClassification:
     def test_relabelings_collapse_to_one_class(self):
@@ -293,6 +301,15 @@ class TestClassification:
         q = build_magma(2, [[1, 0], [0, 1]], "quasigroup")
         with pytest.raises(ValueError):
             classify_up_to_iso([q])
+
+    def test_matches_canonical_form_oracle(self, searched):
+        for n in (5, 6, 7):
+            models, _ = searched(n)
+            classes: dict = {}
+            for m in models:
+                classes.setdefault(canonical_form(m), []).append(m.rows)
+            reps = classify_up_to_iso(models[::-1])
+            assert [r.rows for r in reps] == sorted(min(c) for c in classes.values()), n
 
     def test_representatives_sorted(self, searched):
         models, _ = searched(6)

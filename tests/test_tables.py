@@ -23,7 +23,7 @@ from jordanloops.tables import (
     serialize_table,
     squaring_bijective,
 )
-from oracle import relabel
+from oracle import least_isomorphism, relabel
 
 
 Z2 = [[0, 1], [1, 0]]
@@ -234,6 +234,22 @@ class TestIsomorphism:
         copy = relabel(cyclic_group(5), (0, 3, 1, 4, 2))
         pi = find_isomorphism(cyclic_group(5), copy)
         assert pi is not None and pi[0] == 0
+
+    def test_matches_least_isomorphism_oracle(self, searched):
+        # a noncommutative nonassociative loop of order 5: 1*2 = 3, 2*1 = 4
+        nc5 = build_magma(5, [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                              [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]], "loop")
+        loops = [cyclic_group(n) for n in range(1, 8)]
+        loops += [direct_product(cyclic_group(2), cyclic_group(2)), nc5]
+        for n in (5, 6, 7):
+            loops += searched(n)[0]
+        rng = random.Random(20261018)
+        for t in loops:
+            n = t.order
+            u = relabel(t, [0] + rng.sample(range(1, n), n - 1))
+            other = next(s for s in loops if s.order == n)
+            for lhs, rhs in ((t, u), (u, t), (t, other)):
+                assert find_isomorphism(lhs, rhs) == least_isomorphism(lhs, rhs)
 
 
 class TestSerialization:
