@@ -23,10 +23,6 @@ from .tables import (
 )
 
 
-class _CliError(Exception):
-    """Parameter or input problem; maps to exit code 2."""
-
-
 def _read_tables(path: str) -> list[MagmaTable]:
     try:
         if path == "-":
@@ -34,14 +30,14 @@ def _read_tables(path: str) -> list[MagmaTable]:
         else:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as exc:
-        raise _CliError(f"cannot read {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     try:
         tables = parse_tables(text)
     except ValidationError as exc:
-        raise _CliError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
     if not tables:
-        raise _CliError(f"{path}: no tables found")
+        raise ValueError(f"{path}: no tables found")
     return tables
 
 
@@ -53,33 +49,39 @@ def _emit(text: str, out_path: str | None):
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise _CliError(f"cannot write {out_path}: {exc}") from exc
+        raise ValueError(f"cannot write {out_path}: {exc}") from exc
+
+
+def _each_table(path: str, report) -> int:
+    """Call ``report(idx, table)`` on every table in the file, naming the
+    table in any ValueError; exit 1 if some report returned True."""
+    negative = False
+    for idx, table in enumerate(_read_tables(path), start=1):
+        try:
+            negative |= report(idx, table)
+        except ValueError as exc:
+            raise ValueError(f"table {idx}: {exc}") from exc
+    return 1 if negative else 0
 
 
 def _cmd_construct(args) -> int:
-    try:
-        table = constructions.construct(args.order)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
-    _emit(serialize_table(table), args.out)
+    _emit(serialize_table(constructions.construct(args.order)), args.out)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    tables = _read_tables(args.file)
-    failed = False
-    for idx, table in enumerate(tables, start=1):
+    def report(idx, table):
+        failed = False
         for prop in args.properties:
-            try:
-                witness = find_counterexample(table, prop)
-            except ValueError as exc:
-                raise _CliError(f"table {idx}: {exc}") from exc
+            witness = find_counterexample(table, prop)
             if witness is None:
                 print(f"table {idx}: {prop} ok")
             else:
                 failed = True
                 print(f"table {idx}: {prop} FAIL: {witness}")
-    return 1 if failed else 0
+        return failed
+
+    return _each_table(args.file, report)
 
 
 def _cmd_search(args) -> int:
@@ -94,14 +96,12 @@ def _cmd_search(args) -> int:
     )
     try:
         models, stats = enumerate_loops(options)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
     except SearchIncomplete as exc:
         print(
             f"# nodes={exc.stats.nodes} failures={exc.stats.failures} "
             f"seconds={exc.stats.seconds:.3f}"
         )
-        raise _CliError(str(exc)) from exc
+        raise ValueError(str(exc)) from exc
     out = [serialize_table(t) for t in models]
     out.append(
         f"# nodes={stats.nodes} failures={stats.failures} models={stats.models_found} "
@@ -112,14 +112,10 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_powers(args) -> int:
-    tables = _read_tables(args.file)
-    for idx, table in enumerate(tables, start=1):
+    def report(idx, table):
         c = args.element
         max_k = args.max_k if args.max_k is not None else table.order + 1
-        try:
-            profile = powers.power_profile(table, c, max_k, cap=max_k)
-        except ValueError as exc:
-            raise _CliError(f"table {idx}: {exc}") from exc
+        profile = powers.power_profile(table, c, max_k, cap=max_k)
         print(f"table {idx}: element {c}, order {table.order}")
         for k in range(1, max_k + 1):
             values = sorted(profile[k])
@@ -133,39 +129,33 @@ def _cmd_powers(args) -> int:
             print(f"  element order: {order}")
         pa = "yes" if powers.is_power_associative(table) else "no"
         print(f"  loop power-associative: {pa}")
-    return 0
+        return False
+
+    return _each_table(args.file, report)
 
 
 def _cmd_simple(args) -> int:
-    tables = _read_tables(args.file)
-    composite = False
-    for idx, table in enumerate(tables, start=1):
-        try:
-            witness = structure.find_proper_normal_subloop(table)
-        except ValueError as exc:
-            raise _CliError(f"table {idx}: {exc}") from exc
+    def report(idx, table):
+        witness = structure.find_proper_normal_subloop(table)
         if table.order == 1:
-            composite = True
             print(f"table {idx}: not simple (trivial loop)")
         elif witness is None:
             print(f"table {idx}: simple")
         else:
-            composite = True
             members = ",".join(str(m) for m in witness.members)
             print(
                 f"table {idx}: not simple (proper normal subloop of size "
                 f"{len(witness.members)}: {{{members}}})"
             )
-    return 1 if composite else 0
+        return witness is not None or table.order == 1
+
+    return _each_table(args.file, report)
 
 
 def _cmd_iso(args) -> int:
     lhs = _read_tables(args.file1)[0]
     rhs = _read_tables(args.file2)[0]
-    try:
-        mapping = find_isomorphism(lhs, rhs)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    mapping = find_isomorphism(lhs, rhs)
     if lhs.order != rhs.order:
         print(f"not isomorphic: orders differ ({lhs.order} vs {rhs.order})")
         return 1
@@ -177,19 +167,12 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_tower(args) -> int:
-    try:
-        table = constructions.jordan_tower(args.depth)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
-    _emit(serialize_table(table), args.out)
+    _emit(serialize_table(constructions.jordan_tower(args.depth)), args.out)
     return 0
 
 
 def _cmd_gap_loop(args) -> int:
-    try:
-        table, element = powers.powers_gap_loop(args.m, args.n)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    table, element = powers.powers_gap_loop(args.m, args.n)
     text = serialize_table(table)
     text += f"# element {element}: powers well-defined below {args.m * args.n}\n"
     _emit(text, args.out)
@@ -265,6 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
+    """Run one command; any ValueError becomes ``error: …`` and exit 2."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -272,7 +256,7 @@ def run(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except _CliError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

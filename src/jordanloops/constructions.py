@@ -10,9 +10,13 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .tables import (
+    ORDER_LIMIT,
     MagmaTable,
     Permutation,
+    _check_order,
     _escaping_pair,
+    _require_loop,
+    _require_quasigroup,
     build_magma,
     check,
     cyclic_group,
@@ -24,6 +28,7 @@ def antidiagonal_idempotent(n: int) -> MagmaTable:
     """The commutative idempotent quasigroup a*b = (a+b)/2 mod n, odd n."""
     if n < 1 or n % 2 == 0:
         raise ValueError(f"averaging needs an odd modulus, got {n}")
+    _check_order(n)
     inv2 = (n + 1) // 2
     return build_magma(n, [[(a + b) * inv2 % n for b in range(n)] for a in range(n)], "quasigroup")
 
@@ -34,8 +39,7 @@ def idempotent_to_exp2(q: MagmaTable) -> MagmaTable:
     Sends a commutative idempotent quasigroup of order n-1 to a commutative
     exponent-2 loop of order n; old element i becomes i+1.
     """
-    if q.kind == "magma":
-        raise ValueError("input must be a quasigroup")
+    _require_quasigroup(q, "idempotent_to_exp2")
     for prop in ("commutative", "idempotent"):
         if not check(q, prop):
             raise ValueError(f"input quasigroup is not {prop}")
@@ -53,7 +57,8 @@ def idempotent_to_exp2(q: MagmaTable) -> MagmaTable:
 
 def exp2_to_idempotent(l: MagmaTable) -> MagmaTable:
     """Inverse of idempotent_to_exp2: drop the identity, set x*x = x."""
-    if l.kind != "loop" or l.order < 2:
+    _require_loop(l, "exp2_to_idempotent")
+    if l.order < 2:
         raise ValueError("input must be a nontrivial loop")
     for prop in ("commutative", "exponent-two"):
         if not check(l, prop):
@@ -92,8 +97,7 @@ class AmalgamSpec:
     block_quasigroups: Mapping[tuple[int, int], MagmaTable]
 
     def validate(self, needed_pairs) -> None:
-        if self.group.kind == "magma":
-            raise ValueError("outer table must be a quasigroup")
+        _require_quasigroup(self.group, "amalgam outer table")
         s = self.carrier_size
         if s < 1:
             raise ValueError(f"carrier size must be positive, got {s}")
@@ -101,13 +105,15 @@ class AmalgamSpec:
             loop = self.diagonal_loops.get(g)
             if loop is None:
                 raise ValueError(f"missing diagonal loop for {g}")
-            if loop.kind != "loop" or loop.order != s + 1:
+            _require_loop(loop, f"diagonal for {g}")
+            if loop.order != s + 1:
                 raise ValueError(f"diagonal loop for {g} must be a loop of order {s + 1}")
         for pair in needed_pairs:
             q = self.block_quasigroups.get(pair)
             if q is None:
                 raise ValueError(f"missing block quasigroup for pair {pair}")
-            if q.kind == "magma" or q.order != s:
+            _require_quasigroup(q, f"block for pair {pair}")
+            if q.order != s:
                 raise ValueError(f"block for pair {pair} must be a quasigroup of order {s}")
 
 
@@ -117,8 +123,7 @@ def quasigroup_amalgam(group: MagmaTable, blocks: Mapping[tuple[int, int], Magma
     ``blocks[(g, h)]`` supplies the carrier quasigroup for every ordered
     pair; the pair (s, g) is encoded as s + |S|*g.
     """
-    if group.kind == "magma":
-        raise ValueError("outer table must be a quasigroup")
+    _require_quasigroup(group, "quasigroup_amalgam")
     k = group.order
     sizes = {q.order for q in blocks.values()}
     if len(sizes) != 1:
@@ -129,9 +134,9 @@ def quasigroup_amalgam(group: MagmaTable, blocks: Mapping[tuple[int, int], Magma
             q = blocks.get((g, h))
             if q is None:
                 raise ValueError(f"missing block quasigroup for pair ({g},{h})")
-            if q.kind == "magma":
-                raise ValueError(f"block ({g},{h}) must be a quasigroup")
+            _require_quasigroup(q, f"block ({g},{h})")
     n = s * k
+    _check_order(n)
     rows = [[0] * n for _ in range(n)]
     for g in range(k):
         grow = group.rows[g]
@@ -152,6 +157,7 @@ def _amalgam_rows(spec: AmalgamSpec, c: Sequence[int]):
     k = spec.group.order
     s = spec.carrier_size
     n = s * k + 1
+    _check_order(n)
     rows = [list(range(n))]
     for g in range(k):
         for a in range(s):
@@ -210,10 +216,9 @@ def guaranteed_jordan_conditions(g: MagmaTable, l: MagmaTable, q: MagmaTable) ->
     Q are commutative, and for all s,t in L minus identity either s*s = 0 in
     L or (s2 # t) # s = s2 # (t # s) in Q, writing # for the Q product.
     """
-    if l.kind != "loop":
-        raise ValueError("l must be a loop")
-    if g.kind == "magma" or q.kind == "magma":
-        raise ValueError("g and q must be quasigroups")
+    _require_loop(l, "guaranteed_jordan_conditions")
+    _require_quasigroup(g, "guaranteed_jordan_conditions")
+    _require_quasigroup(q, "guaranteed_jordan_conditions")
     if q.order != l.order - 1:
         raise ValueError(
             f"carrier mismatch: q has order {q.order}, expected {l.order - 1} (l minus identity)"
@@ -268,7 +273,8 @@ def union_of_groups(group: MagmaTable, parts: Sequence, quasis: Sequence[MagmaTa
     parts[i] minus the identity (members sorted ascending).  Element e of G
     becomes e-1.
     """
-    if group.kind != "loop" or not check(group, "associative") or not check(group, "commutative"):
+    _require_loop(group, "union_of_groups")
+    if not check(group, "associative") or not check(group, "commutative"):
         raise ValueError("outer table must be an abelian group")
     n = group.order
     parts = [sorted(set(p)) for p in parts]
@@ -292,7 +298,8 @@ def union_of_groups(group: MagmaTable, parts: Sequence, quasis: Sequence[MagmaTa
         for e in p[1:]:
             part_of[e] = idx
     for idx, (p, q) in enumerate(zip(parts, quasis)):
-        if q.kind == "magma" or q.order != len(p) - 1:
+        _require_quasigroup(q, f"part {idx}")
+        if q.order != len(p) - 1:
             raise ValueError(f"quasigroup {idx} must have order {len(p) - 1}")
         if not check(q, "jordan"):
             raise ValueError(f"quasigroup {idx} is not a Jordan quasigroup")
@@ -321,8 +328,7 @@ class PartitionedQuasigroup:
         object.__setattr__(self, "blocks", tuple(tuple(sorted(set(b))) for b in blocks))
 
     def validate(self) -> None:
-        if self.table.kind == "magma":
-            raise ValueError("partitioned table must be a quasigroup")
+        _require_quasigroup(self.table, "PartitionedQuasigroup")
         n = self.table.order
         seen = []
         for block in self.blocks:
@@ -348,7 +354,8 @@ def replace_subquasigroups(pq: PartitionedQuasigroup, loops: Mapping[int, MagmaT
         loop = loops.get(idx)
         if loop is None:
             raise ValueError(f"missing replacement loop for block {idx}")
-        if loop.kind != "loop" or loop.order != len(block) + 1:
+        _require_loop(loop, f"replacement {idx}")
+        if loop.order != len(block) + 1:
             raise ValueError(f"replacement {idx} must be a loop of order {len(block) + 1}")
     slot = {}
     block_of = {}
@@ -383,6 +390,9 @@ def fermat_jordan(m: int) -> MagmaTable:
     """
     if m <= 3:
         raise ValueError(f"this construction needs m > 3, got {m}")
+    if m > ORDER_LIMIT.bit_length():  # keeps 1 << m a small integer
+        raise ValueError(f"m = {m} exceeds the supported table size")
+    _check_order((1 << m) + 1)
     g9 = direct_product(cyclic_group(3), cyclic_group(3))
     # the four subgroups <a>, <b>, <ab>, <ab2> for a = (1,0) = 3, b = (0,1) = 1
     parts = [(0, 3, 6), (0, 1, 2), (0, 4, 8), (0, 5, 7)]
@@ -415,6 +425,7 @@ def construct(n: int) -> MagmaTable:
             f"no nonassociative Jordan loop of order {n} exists; "
             "valid orders are n >= 6 with n != 9"
         )
+    _check_order(n)
     if n % 2 == 0:
         return even_jordan(n)
     if (n - 1) & (n - 2):  # n - 1 is not a power of 2
@@ -433,13 +444,14 @@ def hyper_extend(a: MagmaTable) -> MagmaTable:
     and [u][v] = (~(u xor v)) for u != v.  The result has order 2^(n+1)-1,
     is Jordan when A is, and every hypercube element has order 3.
     """
-    if a.kind != "loop" or not check(a, "commutative"):
+    _require_loop(a, "hyper_extend")
+    if not check(a, "commutative"):
         raise ValueError("input must be a commutative loop")
     m = a.order
     if m & (m + 1):
         raise ValueError(f"order must be 2^n - 1, got {m}")
-    bits = m.bit_length()
     n = 2 * m + 1
+    _check_order(n)
     mask = m  # n-bit all-ones
     rows = []
     for i in range(m):
@@ -454,15 +466,17 @@ def hyper_extend(a: MagmaTable) -> MagmaTable:
 
 
 def jordan_tower(depth: int) -> MagmaTable:
-    """Iterate hyper_extend from the trivial loop: order 2^(depth+1) - 1.
+    """Iterate hyper_extend from the trivial loop: order 2^(depth+1) - 1,
+    at most ORDER_LIMIT (so depth at most 11).
 
     Depth 1 gives the cyclic group of order 3; every deeper level is a
     simple nonassociative Jordan loop that is not left-alternative.
     """
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
-    if depth > 15:
+    if depth > ORDER_LIMIT.bit_length():  # keeps 2 << depth a small integer
         raise ValueError(f"depth {depth} exceeds the supported table size")
+    _check_order((2 << depth) - 1)
     t = build_magma(1, [[0]], "loop")
     for _ in range(depth):
         t = hyper_extend(t)

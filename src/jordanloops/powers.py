@@ -14,6 +14,7 @@ from .tables import (
     Permutation,
     _associativity_witness,
     _check_element,
+    _check_order,
     _power_walk,
     _product_closure,
     _require_loop,
@@ -149,6 +150,7 @@ def powers_gap_params(m: int, n: int) -> PowersLoopParams:
     s = m + 2
     while math.gcd(s, n) != 1:
         s += 1
+    _check_order(n * s)
     phi = [0] * s
     for i in range(s):
         val = i if i <= m - 1 else s + m - i - 1

@@ -23,7 +23,10 @@ PROPERTY_TAGS = (
 
 KINDS = ("magma", "quasigroup", "loop")
 
-ORDER_LIMIT = 1 << 16
+# Rows are lists of Python ints, so memory grows with the square of the
+# order: `construct --order 4096` peaks at about 1.5 GB RSS on CPython 3.11,
+# and twice the order would not fit in a 4 GB address space.
+ORDER_LIMIT = 1 << 12
 
 
 class ValidationError(ValueError):
@@ -84,8 +87,7 @@ def build_magma(order: int, rows, kind: str = "magma") -> MagmaTable:
     """
     if kind not in KINDS:
         raise ValidationError(f"unknown kind {kind!r}")
-    if not 1 <= order <= ORDER_LIMIT:
-        raise ValidationError(f"order {order} out of supported range 1..{ORDER_LIMIT}")
+    _check_order(order)
     rows = [list(r) for r in rows]
     if len(rows) != order:
         raise ValidationError(f"expected {order} rows, got {len(rows)}")
@@ -210,6 +212,13 @@ def _require_loop(table: MagmaTable, op: str):
         raise ValueError(f"{op} requires a loop, got kind {table.kind!r}")
 
 
+def _check_order(n: int):
+    """Reject a table order outside 1..ORDER_LIMIT; builders call this
+    before they allocate."""
+    if not 1 <= n <= ORDER_LIMIT:
+        raise ValidationError(f"order {n} out of supported range 1..{ORDER_LIMIT}")
+
+
 def _check_element(table: MagmaTable, *elements: int):
     for c in elements:
         if not 0 <= c < table.order:
@@ -299,8 +308,7 @@ def direct_product(a: MagmaTable, b: MagmaTable) -> MagmaTable:
     """Componentwise product on pairs, pair (i, j) encoded as i*|B| + j."""
     na, nb = a.order, b.order
     n = na * nb
-    if n > ORDER_LIMIT:
-        raise ValueError(f"product order {n} exceeds the supported limit {ORDER_LIMIT}")
+    _check_order(n)
     ra, rb = a.rows, b.rows
     rows = [[0] * n for _ in range(n)]
     for i1 in range(na):
@@ -320,8 +328,7 @@ def direct_product(a: MagmaTable, b: MagmaTable) -> MagmaTable:
 
 def cyclic_group(n: int) -> MagmaTable:
     """Addition modulo n as a loop table."""
-    if not 1 <= n <= ORDER_LIMIT:
-        raise ValueError(f"order {n} out of supported range 1..{ORDER_LIMIT}")
+    _check_order(n)
     return build_magma(n, [[(i + j) % n for j in range(n)] for i in range(n)], "loop")
 
 
@@ -344,29 +351,18 @@ def _element_key(rows, x: int):
     return (order, commutant, seen[v], step - seen[v])
 
 
-def _generators(rows) -> list[int]:
-    """Greedy generating sequence: at each step, the least element outside
-    the subloop generated so far.  Each one at least doubles that subloop,
-    so there are at most log2(n) of them."""
-    n = len(rows)
-    gens = []
-    closed = {0}
-    while len(closed) < n:
-        g = next(x for x in range(n) if x not in closed)
-        gens.append(g)
-        closed = _product_closure(rows, closed | {g})
-    return gens
-
-
-def _match(r1, keys1, gens, r2, keys2) -> Permutation | None:
+def _match(r1, keys1, r2, keys2) -> Permutation | None:
     """The isomorphism from rows ``r1`` to ``r2`` that maps equal
-    ``_element_key``s and takes the generators ``gens`` of ``r1`` to the
+    ``_element_key``s and takes the greedy generators of ``r1`` to the
     lexicographically least images, or None.
 
     ``mapped``, the elements in the order they got an image, is also the
     propagation queue: ``mapped[k]`` is multiplied with ``mapped[:k+1]``, so
     each pair is checked once, and a failed candidate is undone by cutting
-    ``mapped`` back to its mark."""
+    ``mapped`` back to its mark.  After a successful ``extend``, ``mapped``
+    is the subloop generated so far, so the least unmapped element is the
+    next greedy generator: the least element outside that subloop.  Each
+    one at least doubles it, so there are at most log2(n) of them."""
     n = len(r1)
     pi = [-1] * n
     used = [False] * n
@@ -397,15 +393,15 @@ def _match(r1, keys1, gens, r2, keys2) -> Permutation | None:
             k += 1
         return True
 
-    def search(idx):
-        if idx == len(gens):
+    def search():
+        if len(mapped) == n:
             return True
-        g = gens[idx]
+        g = pi.index(-1)
         mark = len(mapped)
         for cand in range(n):
             if used[cand] or keys1[g] != keys2[cand]:
                 continue
-            if extend(g, cand, mark) and search(idx + 1):
+            if extend(g, cand, mark) and search():
                 return True
             for a in mapped[mark:]:
                 used[pi[a]] = False
@@ -413,7 +409,7 @@ def _match(r1, keys1, gens, r2, keys2) -> Permutation | None:
             del mapped[mark:]
         return False
 
-    return tuple(pi) if extend(0, 0, 0) and search(0) else None
+    return tuple(pi) if extend(0, 0, 0) and search() else None
 
 
 def find_isomorphism(lhs: MagmaTable, rhs: MagmaTable) -> Permutation | None:
@@ -428,7 +424,7 @@ def find_isomorphism(lhs: MagmaTable, rhs: MagmaTable) -> Permutation | None:
     keys2 = [_element_key(r2, x) for x in range(n)]
     if sorted(keys1) != sorted(keys2):
         return None
-    return _match(r1, keys1, _generators(r1), r2, keys2)
+    return _match(r1, keys1, r2, keys2)
 
 
 def classify_up_to_iso(models) -> list[MagmaTable]:
@@ -445,9 +441,8 @@ def classify_up_to_iso(models) -> list[MagmaTable]:
     for m in models:
         rows = m.rows
         keys = [_element_key(rows, x) for x in range(m.order)]
-        gens = _generators(rows)
         bucket = buckets.setdefault(tuple(sorted(keys)), [])
-        if all(_match(rows, keys, gens, r, r_keys) is None for r, r_keys in bucket):
+        if all(_match(rows, keys, r, r_keys) is None for r, r_keys in bucket):
             bucket.append((rows, keys))
             reps.append(m)
     return reps

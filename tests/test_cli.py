@@ -1,4 +1,5 @@
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -17,9 +18,10 @@ def write(tmp_path, name, text):
     return str(path)
 
 
-def run_module(*args):
+def run_module(*args, **kwargs):
     """``python -m jordanloops.cli`` in a child process that imports the
-    package under test, however this process found it."""
+    package under test, however this process found it; ``kwargs`` go to
+    ``subprocess.run``."""
     src = str(Path(jordanloops.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
@@ -27,7 +29,14 @@ def run_module(*args):
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
+        **kwargs,
     )
+
+
+def cap_address_space():
+    """Limit the child to about 1 GB of address space, so that a builder
+    which allocates before checking its size fails fast with MemoryError."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 class TestConstruct:
@@ -85,6 +94,12 @@ class TestVerify:
     def test_missing_file(self, capsys):
         assert run(["verify", "-p", "latin", "/does/not/exist"]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+    def test_undecodable_file(self, tmp_path, capsys):
+        path = tmp_path / "bin.txt"
+        path.write_bytes(b"\xff\xfe")
+        assert run(["verify", "-p", "latin", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
 
     def test_exponent_two_without_identity_is_parameter_error(self, tmp_path, capsys):
         f = write(tmp_path, "q.txt", "order 3\nkind quasigroup\n0 2 1\n2 1 0\n1 0 2\n")
@@ -230,6 +245,24 @@ class TestTower:
         assert run(["tower", "--depth", "99"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "-p", "exponent-two"], "exponent-two is undefined on a table with no identity element"),
+        (["powers", "--element", "0"], "power_profile requires a loop, got kind 'quasigroup'"),
+        (["simple"], "find_proper_normal_subloop requires a loop, got kind 'quasigroup'"),
+    ],
+)
+def test_error_names_the_table_after_earlier_reports(tmp_path, capsys, argv, message):
+    f = write(tmp_path, "two.txt", serialize_table(jordan_tower(2)) + "\n"
+              + "order 3\nkind quasigroup\n0 2 1\n2 1 0\n1 0 2\n")
+    assert run([*argv, f]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("table 1: ")
+    assert "table 2" not in captured.out
+    assert captured.err == f"error: table 2: {message}\n"
+
+
 class TestEntryPoints:
     def test_module_invocation(self):
         proc = run_module("construct", "--order", "6")
@@ -240,6 +273,24 @@ class TestEntryPoints:
         proc = run_module("--help")
         assert proc.returncode == 0
         assert "construct" in proc.stdout
+
+    @pytest.mark.parametrize(
+        "probe",
+        [
+            ("construct", "--order", "4097"),
+            ("construct", "--order", "70000"),
+            ("tower", "--depth", "12"),
+            ("tower", "--depth", "15"),
+            ("gap-loop", "--m", "2", "--n", "1025"),
+        ],
+        ids=" ".join,
+    )
+    def test_oversize_is_parameter_error(self, probe):
+        proc = run_module(*probe, preexec_fn=cap_address_space)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert run([]) == 2

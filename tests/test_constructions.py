@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from jordanloops.constructions import (
@@ -20,11 +22,14 @@ from jordanloops.constructions import (
     replace_subquasigroups,
     union_of_groups,
 )
+from jordanloops.powers import powers_gap_loop
 from jordanloops.tables import (
+    ORDER_LIMIT,
     ValidationError,
     build_magma,
     check,
     cyclic_group,
+    direct_product,
     find_counterexample,
     find_isomorphism,
 )
@@ -45,6 +50,101 @@ def assert_nonassociative_jordan(table, order):
     assert table.kind == "loop"
     assert check(table, "jordan"), find_counterexample(table, "jordan")
     assert not check(table, "associative")
+
+
+def as_kind(table, kind):
+    """The same rows under a different kind claim."""
+    return build_magma(table.order, table.rows, kind)
+
+
+Z2, Z3 = cyclic_group(2), cyclic_group(3)
+Q3 = antidiagonal_idempotent(3)  # commutative idempotent quasigroup
+M3 = as_kind(Q3, "magma")
+EXP2_4 = idempotent_to_exp2(Q3)  # commutative exponent-two loop of order 4
+SINGLETONS = [(0,), (1,), (2,)]  # closed blocks of the idempotent Q3
+G9_PARTS = [(0, 3, 6), (0, 1, 2), (0, 4, 8), (0, 5, 7)]
+
+
+def amalgam_spec(group=Q3, diagonal=Z3, block=Z2):
+    """Carrier size 2 over Q3: the data of odd_jordan(7)."""
+    return AmalgamSpec(
+        group=group,
+        carrier_size=2,
+        diagonal_loops={g: diagonal for g in range(3)},
+        block_quasigroups={(g, h): block for g in range(3) for h in range(3) if g != h},
+    )
+
+
+def amalgam_blocks(odd_one):
+    """A Z2 block for every pair of Q3 except (0, 1), which gets ``odd_one``."""
+    return {(g, h): odd_one if (g, h) == (0, 1) else Z2 for g in range(3) for h in range(3)}
+
+
+OFF_DIAGONAL = [(g, h) for g in range(3) for h in range(3) if g != h]
+
+# Each call passes a magma where a quasigroup is required, or a quasigroup
+# where a loop is required; every other argument is valid.
+WRONG_KIND_CALLS = {
+    "idempotent_to_exp2": lambda: idempotent_to_exp2(M3),
+    "exp2_to_idempotent": lambda: exp2_to_idempotent(as_kind(EXP2_4, "quasigroup")),
+    "quasigroup_amalgam outer": lambda: quasigroup_amalgam(M3, amalgam_blocks(Z2)),
+    "quasigroup_amalgam block": lambda: quasigroup_amalgam(Q3, amalgam_blocks(as_kind(Z2, "magma"))),
+    "AmalgamSpec.validate outer": lambda: amalgam_spec(group=M3).validate(OFF_DIAGONAL),
+    "AmalgamSpec.validate diagonal": lambda: amalgam_spec(
+        diagonal=as_kind(Z3, "quasigroup")).validate(OFF_DIAGONAL),
+    "AmalgamSpec.validate block": lambda: amalgam_spec(
+        block=as_kind(Z2, "magma")).validate(OFF_DIAGONAL),
+    "guaranteed_jordan_conditions g": lambda: guaranteed_jordan_conditions(M3, Z3, Z2),
+    "guaranteed_jordan_conditions l": lambda: guaranteed_jordan_conditions(
+        Q3, as_kind(Z3, "quasigroup"), Z2),
+    "guaranteed_jordan_conditions q": lambda: guaranteed_jordan_conditions(
+        Q3, Z3, as_kind(Z2, "magma")),
+    "union_of_groups group": lambda: union_of_groups(
+        as_kind(direct_product(Z3, Z3), "quasigroup"), G9_PARTS, [Z2] * 4),
+    "union_of_groups part": lambda: union_of_groups(
+        direct_product(Z3, Z3), G9_PARTS, [Z2] * 3 + [as_kind(Z2, "magma")]),
+    "PartitionedQuasigroup.validate": lambda: PartitionedQuasigroup(M3, SINGLETONS).validate(),
+    "replace_subquasigroups": lambda: replace_subquasigroups(
+        PartitionedQuasigroup(Q3, SINGLETONS), {0: Z2, 1: as_kind(Z2, "quasigroup"), 2: Z2}),
+    "hyper_extend": lambda: hyper_extend(as_kind(Z3, "quasigroup")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_KIND_CALLS))
+def test_wrong_kind_is_value_error(name):
+    with pytest.raises(ValueError, match="requires a"):
+        WRONG_KIND_CALLS[name]()
+
+
+# Every builder that sizes its table from integers, just past ORDER_LIMIT
+# and far past it; each must refuse before it allocates.
+OVERSIZE_CALLS = {
+    "construct": lambda: construct(ORDER_LIMIT + 1),
+    "construct even": lambda: construct(ORDER_LIMIT + 2),
+    "construct far": lambda: construct(10**12),
+    "antidiagonal_idempotent": lambda: antidiagonal_idempotent(ORDER_LIMIT + 1),
+    "cyclic_group": lambda: cyclic_group(ORDER_LIMIT + 1),
+    "direct_product": lambda: direct_product(cyclic_group(65), cyclic_group(64)),
+    "build_magma": lambda: build_magma(ORDER_LIMIT + 1, []),
+    "fermat_jordan": lambda: fermat_jordan(ORDER_LIMIT.bit_length() - 1),
+    "fermat_jordan far": lambda: fermat_jordan(10**12),
+    "jordan_tower": lambda: jordan_tower(ORDER_LIMIT.bit_length() - 1),
+    "jordan_tower far": lambda: jordan_tower(10**12),
+    "powers_gap_loop": lambda: powers_gap_loop(2, ORDER_LIMIT // 4 + 1),
+    "powers_gap_loop far": lambda: powers_gap_loop(10**12, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZE_CALLS))
+def test_oversize_order_is_value_error(name):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="supported"):
+            OVERSIZE_CALLS[name]()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # refused before any table of that size was built
 
 
 class TestCorrespondence:

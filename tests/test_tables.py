@@ -2,7 +2,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jordanloops.constructions import antidiagonal_idempotent, construct
+from jordanloops.search import SearchOptions, enumerate_loops
 from jordanloops.tables import (
     KINDS,
     PROPERTY_TAGS,
@@ -252,6 +256,44 @@ class TestIsomorphism:
                 assert find_isomorphism(lhs, rhs) == least_isomorphism(lhs, rhs)
 
 
+ROUND_TRIP_LOOPS = (
+    [construct(n) for n in (6, 7, 8, 10, 11, 12, 17)]
+    + [t for n in (1, 2, 4, 5) for t in enumerate_loops(SearchOptions(n, require_jordan=False))[0]]
+)
+ROUND_TRIP_QUASIGROUPS = [antidiagonal_idempotent(n) for n in (1, 3, 5, 7)]
+
+
+@st.composite
+def noisy_tables(draw):
+    """A relabelled table of one of the three kinds, and its serialisation
+    with comment lines and indentation mixed in (blank lines would split it)."""
+    kind = draw(st.sampled_from(KINDS))
+    if kind == "magma":
+        n = draw(st.integers(1, 5))
+        rows = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+        table = build_magma(n, rows, "magma")
+    elif kind == "quasigroup":
+        table = draw(st.sampled_from(ROUND_TRIP_QUASIGROUPS + ROUND_TRIP_LOOPS))
+        table = build_magma(table.order, table.rows, "quasigroup")
+    else:
+        table = draw(st.sampled_from(ROUND_TRIP_LOOPS))
+    n = table.order
+    # only a loop must keep its identity at 0
+    perm = ([0] + draw(st.permutations(range(1, n))) if kind == "loop"
+            else draw(st.permutations(range(n))))
+    table = relabel(table, perm)
+    lines = []
+    for line in serialize_table(table).splitlines():
+        lines += draw(st.lists(st.sampled_from(["# note", "  #", "#order 3"]), max_size=2))
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + line + draw(st.sampled_from(["", "  "])))
+    return table, "\n".join(lines)
+
+
+GAPS = st.lists(st.sampled_from(["", "   ", "# between tables"]), max_size=3).map(
+    lambda noise: "\n" + "\n".join(["", *noise]) + "\n")
+
+
 class TestSerialization:
     def test_round_trip(self):
         t = cyclic_group(4)
@@ -287,7 +329,16 @@ class TestSerialization:
         tables = parse_tables(text)
         assert tables == [cyclic_group(2), cyclic_group(3)]
 
-    def test_stream_round_trip_many(self):
-        tabs = [cyclic_group(n) for n in (1, 2, 3, 4, 5)]
-        text = "\n".join(serialize_table(t) for t in tabs)
-        assert parse_tables(text) == tabs
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(noisy_tables(), min_size=1, max_size=4), GAPS, st.data())
+    def test_stream_round_trip_many(self, cases, lead, data):
+        """Every table survives serialize -> parse, alone and in a stream whose
+        tables are separated by at least one blank line plus noise."""
+        tables = [t for t, _ in cases]
+        for table, text in cases:
+            assert parse_table(text) == table
+            assert parse_tables(serialize_table(table)) == [table]
+        stream = lead.lstrip("\n")
+        for i, (_, text) in enumerate(cases):
+            stream += text + (data.draw(GAPS) if i < len(cases) - 1 else "\n")
+        assert parse_tables(stream) == tables
