@@ -380,6 +380,15 @@ def replace_subquasigroups(pq: PartitionedQuasigroup, loops: Mapping[int, MagmaT
     return build_magma(n + 1, rows, "loop")
 
 
+def _check_fermat_exponent(m: int):
+    """Reject an exponent m whose order-2^m+1 Fermat loop is not buildable."""
+    if m <= 3:
+        raise ValueError(f"this construction needs m > 3, got {m}")
+    if m > ORDER_LIMIT.bit_length():  # keeps 1 << m a small integer
+        raise ValueError(f"m = {m} exceeds the supported table size")
+    _check_order((1 << m) + 1)
+
+
 def fermat_jordan(m: int) -> MagmaTable:
     """Nonassociative Jordan loop of order 2^m + 1 for m > 3.
 
@@ -388,11 +397,7 @@ def fermat_jordan(m: int) -> MagmaTable:
     order 2^(m-3), and replaces the four order-2^(m-2) blocks with copies of
     the cyclic group of order 2^(m-2) + 1.
     """
-    if m <= 3:
-        raise ValueError(f"this construction needs m > 3, got {m}")
-    if m > ORDER_LIMIT.bit_length():  # keeps 1 << m a small integer
-        raise ValueError(f"m = {m} exceeds the supported table size")
-    _check_order((1 << m) + 1)
+    _check_fermat_exponent(m)
     g9 = direct_product(cyclic_group(3), cyclic_group(3))
     # the four subgroups <a>, <b>, <ab>, <ab2> for a = (1,0) = 3, b = (0,1) = 1
     parts = [(0, 3, 6), (0, 1, 2), (0, 4, 8), (0, 5, 7)]
@@ -412,8 +417,7 @@ def fermat_jordan(m: int) -> MagmaTable:
 
 def fermat_subloop_members(m: int) -> tuple:
     """Element indices of the canonical order-2^(m-2)+1 subloop of fermat_jordan(m)."""
-    if m <= 3:
-        raise ValueError(f"this construction needs m > 3, got {m}")
+    _check_fermat_exponent(m)
     first = tuple(i * 8 + (e - 1) for i in range(1 << (m - 3)) for e in (3, 6))
     return (0,) + tuple(sorted(e + 1 for e in first))
 

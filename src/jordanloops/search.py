@@ -7,13 +7,16 @@ enumerator additionally prunes with a parity fact: in a commutative
 quasigroup every symbol occurs on the diagonal with the parity of the
 order, so odd-order diagonals are bijections and even-order diagonals use
 every symbol an even number of times.
+
+The engine records each fact once: the trail of assignments doubles as the
+propagation queue, and the diagonal of the table as the squaring map.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .tables import MagmaTable, ValidationError, build_magma, check, classify_up_to_iso
+from .tables import MagmaTable, ValidationError, _check_order, build_magma, check, classify_up_to_iso
 
 
 @dataclass(frozen=True)
@@ -61,6 +64,7 @@ class PartialTable:
 
     def __post_init__(self):
         n = self.order
+        _check_order(n)
         cells = self.cells
         if len(cells) != n * n:
             raise ValidationError(f"expected {n * n} cells, got {len(cells)}")
@@ -89,8 +93,7 @@ class PartialTable:
 
     @classmethod
     def blank(cls, order: int) -> "PartialTable":
-        if order < 1:
-            raise ValueError(f"order must be positive, got {order}")
+        _check_order(order)
         cells = [-1] * (order * order)
         for i in range(order):
             cells[i] = i
@@ -120,11 +123,15 @@ class PartialTable:
 
 
 class _State:
-    """Mutable search state shared by propagate and the enumerator."""
+    """Mutable search state shared by propagate and the enumerator.
+
+    diag_parity holds the symbols whose count on the diagonal has the wrong
+    parity so far; at odd order these are the symbols not yet on it.
+    """
 
     __slots__ = (
-        "n", "T", "pos", "free", "odd", "diag_free", "diag_odd", "diag_left",
-        "sq_of", "by_sq", "trail", "queue", "require_jordan",
+        "n", "T", "pos", "free", "odd", "diag_parity", "diag_left", "by_sq",
+        "trail", "require_jordan",
     )
 
     def __init__(self, n: int, require_jordan: bool):
@@ -141,15 +148,12 @@ class _State:
         self.free = [full & ~(1 << i) for i in range(n)]
         self.free[0] = 0
         self.odd = bool(n & 1)
-        self.diag_free = full & ~1
-        self.diag_odd = 1  # symbol 0 sits at (0,0); relevant at even order
+        # symbol 0 sits once at (0,0): right parity at odd order, wrong at even
+        self.diag_parity = full & ~1 if self.odd else 1
         self.diag_left = n - 1
-        self.sq_of = [-1] * n
-        self.sq_of[0] = 0
         self.by_sq = [[] for _ in range(n)]
         self.by_sq[0].append(0)
         self.trail = []
-        self.queue = []
 
     def assign(self, i: int, j: int, v: int) -> bool:
         b = 1 << v
@@ -157,15 +161,11 @@ class _State:
         if i == j:
             if not (free[i] & b):
                 return False
-            if self.odd:
-                if not (self.diag_free & b):
-                    return False
-                self.diag_free &= ~b
-            else:
-                self.diag_odd ^= b
+            if self.odd and not (self.diag_parity & b):
+                return False
+            self.diag_parity ^= b
             self.diag_left -= 1
             free[i] &= ~b
-            self.sq_of[i] = v
             self.by_sq[v].append(i)
         else:
             if not (free[i] & b) or not (free[j] & b):
@@ -177,8 +177,7 @@ class _State:
         self.T[j * n + i] = v
         self.pos[i][v] = j
         self.pos[j][v] = i
-        self.trail.append((i, j, v, b))
-        self.queue.append((i, j))
+        self.trail.append((i, j, v))
         return True
 
     def undo(self, mark: int):
@@ -186,7 +185,8 @@ class _State:
         trail = self.trail
         free = self.free
         while len(trail) > mark:
-            i, j, v, b = trail.pop()
+            i, j, v = trail.pop()
+            b = 1 << v
             self.T[i * n + j] = -1
             self.T[j * n + i] = -1
             self.pos[i][v] = -1
@@ -195,19 +195,15 @@ class _State:
             if i != j:
                 free[j] |= b
             else:
-                if self.odd:
-                    self.diag_free |= b
-                else:
-                    self.diag_odd ^= b
+                self.diag_parity ^= b
                 self.diag_left += 1
-                self.sq_of[i] = -1
                 self.by_sq[v].pop()
 
     def check_instance(self, x: int, y: int) -> bool:
         """Jordan instance (x*x)*(y*x) = ((x*x)*y)*x; forces a lone unknown."""
         n = self.n
         T = self.T
-        s = self.sq_of[x]
+        s = T[x * n + x]
         if s < 0:
             return True
         p = T[y * n + x]
@@ -239,14 +235,17 @@ class _State:
                     return self.assign(i, j, v)
         return True
 
-    def process_queue(self) -> bool:
-        """Close the queued assignments under all propagation rules."""
-        queue = self.queue
+    def process_queue(self, mark: int) -> bool:
+        """Close the assignments on the trail from ``mark`` on under all
+        propagation rules; the trail grows as the rules assign."""
+        trail = self.trail
         check_instance = self.check_instance
         n = self.n
-        qi = 0
-        while qi < len(queue):
-            a, b = queue[qi]
+        T = self.T
+        pos = self.pos
+        qi = mark
+        while qi < len(trail):
+            a, b, _ = trail[qi]
             qi += 1
             if self.require_jordan:
                 if a == b:
@@ -255,8 +254,6 @@ class _State:
                             return False
                 elif not check_instance(a, b) or not check_instance(b, a):
                     return False
-                pos = self.pos
-                sq_of = self.sq_of
                 for s0, c in ((a, b), (b, a)):
                     for x in self.by_sq[s0]:
                         if x == 0:
@@ -266,7 +263,7 @@ class _State:
                         y = pos[x][c]
                         if y > 0 and not check_instance(x, y):
                             return False
-                    sc = sq_of[c]
+                    sc = T[c * n + c]
                     if sc >= 0:
                         y = pos[sc][s0]
                         if y > 0 and not check_instance(c, y):
@@ -277,26 +274,24 @@ class _State:
                 return False
             if a != b and not self._latin_single(b):
                 return False
-        if not self.odd:
-            bad = self.diag_odd.bit_count()
-            if bad > self.diag_left or (self.diag_left - bad) & 1:
-                return False
-        del queue[:]
-        return True
+        # every symbol still of the wrong parity needs an odd number of the
+        # diag_left free diagonal cells; at odd order this always holds
+        bad = self.diag_parity.bit_count()
+        return bad <= self.diag_left and not (self.diag_left - bad) & 1
 
     def select(self):
         """Next decision cell and its candidate mask, None when complete."""
         n = self.n
         free = self.free
+        T = self.T
         if self.diag_left:
             best = None
             best_count = n + 1
-            sq_of = self.sq_of
             for i in range(1, n):
-                if sq_of[i] < 0:
+                if T[i * n + i] < 0:
                     c = free[i]
                     if self.odd:
-                        c &= self.diag_free
+                        c &= self.diag_parity
                     count = c.bit_count()
                     if count < best_count:
                         best_count = count
@@ -315,7 +310,6 @@ class _State:
                     line = i
         if line < 0:
             return None
-        T = self.T
         base = line * n
         best = None
         best_count = n + 1
@@ -336,27 +330,19 @@ def propagate(pt: PartialTable, require_jordan: bool = True) -> PartialTable | N
     """Close a partial table under Latin singles, commutativity mirroring,
     and Jordan triggers; None on contradiction."""
     n = pt.order
-    cells = list(pt.cells)
-    # mirror first so the symmetric engine state is well defined
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = cells[i * n + j], cells[j * n + i]
-            if a == -1:
-                cells[i * n + j] = b
-            elif b != -1 and a != b:
-                return None
-            elif b == -1:
-                cells[j * n + i] = a
     state = _State(n, require_jordan)
-    for i in range(1, n):
-        for j in range(i, n):
-            v = cells[i * n + j]
-            if v != -1 and not state.assign(i, j, v):
-                return None
+    T = state.T
+    # assign writes (i,j) and (j,i) together, so a mirror that disagrees
+    # with its already-set twin is caught like any other clash
+    for k, v in enumerate(pt.cells):
+        if v == -1 or v == T[k]:
+            continue
+        if T[k] != -1 or not state.assign(k // n, k % n, v):
+            return None
     for i in range(1, n):
         if not state._latin_single(i):
             return None
-    if not state.process_queue():
+    if not state.process_queue(0):
         return None
     return PartialTable(n, tuple(state.T))
 
@@ -366,7 +352,7 @@ def _run(state: _State, options: SearchOptions, stats: SearchStats, models: list
     trail mark) frames, so depth is not bounded by the recursion limit."""
     node_limit = options.node_limit
     time_budget = options.time_budget
-    trail, queue = state.trail, state.queue
+    trail = state.trail
     stack = []
     while True:
         stats.nodes += 1
@@ -397,10 +383,9 @@ def _run(state: _State, options: SearchOptions, stats: SearchStats, models: list
             if c:
                 b = c & -c
                 stack.append((i, j, c ^ b, mark))
-                if state.assign(i, j, b.bit_length() - 1) and state.process_queue():
+                if state.assign(i, j, b.bit_length() - 1) and state.process_queue(mark):
                     break
                 stats.failures += 1
-                del queue[:]
         else:
             return
 
@@ -409,10 +394,9 @@ def enumerate_loops(options: SearchOptions) -> tuple[list[MagmaTable], SearchSta
     """All commutative loops of the given order meeting the requested
     filters, lexicographically least table first, plus search statistics."""
     n = options.order
-    if n < 1:
-        raise ValueError(f"order must be positive, got {n}")
     if n > 64:
         raise ValueError(f"order {n} is far beyond exhaustive reach")
+    _check_order(n)
     for name in ("node_limit", "time_budget", "result_limit"):
         limit = getattr(options, name)
         if limit is not None and not limit >= 0:  # also rejects a NaN budget

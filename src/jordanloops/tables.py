@@ -88,7 +88,8 @@ def build_magma(order: int, rows, kind: str = "magma") -> MagmaTable:
     if kind not in KINDS:
         raise ValidationError(f"unknown kind {kind!r}")
     _check_order(order)
-    rows = [list(r) for r in rows]
+    table = MagmaTable(order, rows, kind)
+    rows = table.rows
     if len(rows) != order:
         raise ValidationError(f"expected {order} rows, got {len(rows)}")
     for i, row in enumerate(rows):
@@ -107,7 +108,7 @@ def build_magma(order: int, rows, kind: str = "magma") -> MagmaTable:
                 raise ValidationError(f"element 0 is not a left identity: 0*{x} = {rows[0][x]}")
             if rows[x][0] != x:
                 raise ValidationError(f"element 0 is not a right identity: {x}*0 = {rows[x][0]}")
-    return MagmaTable(order, rows, kind)
+    return table
 
 
 def identity_element(table: MagmaTable) -> int | None:
@@ -454,7 +455,8 @@ def serialize_table(table: MagmaTable) -> str:
     """Render as the plain-text wire format (header lines, then the rows)."""
     lines = [f"order {table.order}", f"kind {table.kind}"]
     lines.extend(" ".join(str(v) for v in row) for row in table.rows)
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the trailing newline, without copying the whole text
+    return "\n".join(lines)
 
 
 def _parse_chunk(lines) -> MagmaTable:

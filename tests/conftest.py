@@ -2,8 +2,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Properties run on a shared, noisy host: no per-example deadline, and a
+# failure prints the blob that replays it.
+settings.register_profile("jordanloops", deadline=None, print_blob=True)
+settings.load_profile("jordanloops")
 
 from jordanloops.search import SearchOptions, enumerate_loops
 

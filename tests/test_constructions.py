@@ -23,6 +23,7 @@ from jordanloops.constructions import (
     union_of_groups,
 )
 from jordanloops.powers import powers_gap_loop
+from jordanloops.search import PartialTable, propagate
 from jordanloops.tables import (
     ORDER_LIMIT,
     ValidationError,
@@ -117,7 +118,8 @@ def test_wrong_kind_is_value_error(name):
 
 
 # Every builder that sizes its table from integers, just past ORDER_LIMIT
-# and far past it; each must refuse before it allocates.
+# and far past it, and the empty partial table; each must refuse before it
+# allocates.
 OVERSIZE_CALLS = {
     "construct": lambda: construct(ORDER_LIMIT + 1),
     "construct even": lambda: construct(ORDER_LIMIT + 2),
@@ -132,6 +134,11 @@ OVERSIZE_CALLS = {
     "jordan_tower far": lambda: jordan_tower(10**12),
     "powers_gap_loop": lambda: powers_gap_loop(2, ORDER_LIMIT // 4 + 1),
     "powers_gap_loop far": lambda: powers_gap_loop(10**12, 3),
+    "fermat_subloop_members": lambda: fermat_subloop_members(ORDER_LIMIT.bit_length() - 1),
+    "fermat_subloop_members far": lambda: fermat_subloop_members(40),
+    "PartialTable.blank": lambda: PartialTable.blank(ORDER_LIMIT + 1),
+    "PartialTable.blank far": lambda: PartialTable.blank(10**5),
+    "propagate empty": lambda: propagate(PartialTable(0, ())),
 }
 
 

@@ -1,7 +1,10 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jordanloops.constructions import even_jordan
 from jordanloops.search import (
@@ -18,8 +21,33 @@ from jordanloops.tables import (
     check,
     cyclic_group,
     find_isomorphism,
+    parse_tables,
 )
 from oracle import canonical_form, naive_commutative_loops, relabel
+
+ORDER8_CLASSES = parse_tables((Path(__file__).parent / "data" / "order8_classes.txt").read_text())
+
+# (nodes, failures, models_found) of the labelled search, keyed by
+# (order, require_jordan).  Any engine change that alters a search tree,
+# even one that finds the same models, changes one of these.
+TREE_SHAPES = {
+    (1, True): (1, 0, 1),
+    (2, True): (2, 0, 1),
+    (3, True): (2, 0, 1),
+    (4, True): (18, 17, 4),
+    (5, True): (43, 0, 6),
+    (6, True): (1205, 1640, 66),
+    (7, True): (3415, 2776, 240),
+    (8, True): (951982, 1053259, 25980),
+    (9, True): (2197847, 3215480, 7560),
+    (1, False): (1, 0, 1),
+    (2, False): (2, 0, 1),
+    (3, False): (2, 0, 1),
+    (4, False): (18, 17, 4),
+    (5, False): (49, 0, 6),
+    (6, False): (3690, 1157, 456),
+    (7, False): (62782, 1742, 6240),
+}
 
 
 class TestPartialTable:
@@ -205,6 +233,56 @@ class TestPropagate:
             for k, v in enumerate(out.cells):
                 if v != -1:
                     assert v == full.cells[k]
+
+
+@st.composite
+def seeded_cuts(draw, searched):
+    """A known Jordan loop of order 5..8 and a cut of it: each line pair
+    (i, j), i <= j, is kept (0), blanked on both sides (1), or blanked at
+    (i, j) only (2) or at (j, i) only (3)."""
+    order = draw(st.integers(5, 8))
+    if order == 8:
+        base = draw(st.sampled_from(ORDER8_CLASSES))
+        model = relabel(base, [0] + draw(st.permutations(range(1, 8))))
+    else:
+        model = draw(st.sampled_from(searched(order)[0]))
+    pairs = [(i, j) for i in range(1, order) for j in range(i, order)]
+    cut = draw(st.lists(st.integers(0, 3), min_size=len(pairs), max_size=len(pairs)))
+    return model, dict(zip(pairs, cut))
+
+
+def cut_table(model, cut, one_sided: bool) -> PartialTable:
+    """The cut as a partial table; without ``one_sided`` a one-sided blank
+    keeps both cells."""
+    n = model.order
+    cells = [v for row in model.rows for v in row]
+    for (i, j), how in cut.items():
+        if how == 1 or (one_sided and how == 2) or (i == j and how):
+            cells[i * n + j] = -1
+        if how == 1 or (one_sided and how == 3):
+            cells[j * n + i] = -1
+    return PartialTable(n, tuple(cells))
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_propagate_on_seeded_cuts(searched, data):
+    model, cut = data.draw(seeded_cuts(searched))
+    cells = PartialTable.from_table(model).cells
+    out = propagate(cut_table(model, cut, one_sided=True))
+    # (a) the model completes the cut, so nothing is refuted or misdeduced
+    assert out is not None
+    assert all(v == -1 or v == cells[k] for k, v in enumerate(out.cells))
+    # (b) a cell whose twin is set carries no less than both cells set
+    assert propagate(cut_table(model, cut, one_sided=False)).cells == out.cells
+    # (c) the result is a fixpoint
+    assert propagate(out).cells == out.cells
+
+
+@pytest.mark.parametrize("order,require_jordan", sorted(TREE_SHAPES))
+def test_search_tree_shape(searched, order, require_jordan):
+    _, stats = searched(order, require_jordan)
+    assert (stats.nodes, stats.failures, stats.models_found) == TREE_SHAPES[order, require_jordan]
 
 
 class TestEnumerate:

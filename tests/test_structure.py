@@ -247,7 +247,7 @@ def relabelled_loops(draw):
     return t, [0] + draw(st.permutations(range(1, t.order)))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(relabelled_loops())
 def test_relabelling_maps_closures_and_simplicity(case):
     t, perm = case

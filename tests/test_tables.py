@@ -329,7 +329,7 @@ class TestSerialization:
         tables = parse_tables(text)
         assert tables == [cyclic_group(2), cyclic_group(3)]
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(st.lists(noisy_tables(), min_size=1, max_size=4), GAPS, st.data())
     def test_stream_round_trip_many(self, cases, lead, data):
         """Every table survives serialize -> parse, alone and in a stream whose
