@@ -240,6 +240,9 @@ class _State:
         propagation rules; the trail grows as the rules assign."""
         trail = self.trail
         check_instance = self.check_instance
+        latin_single = self._latin_single
+        require_jordan = self.require_jordan
+        by_sq = self.by_sq
         n = self.n
         T = self.T
         pos = self.pos
@@ -247,7 +250,7 @@ class _State:
         while qi < len(trail):
             a, b, _ = trail[qi]
             qi += 1
-            if self.require_jordan:
+            if require_jordan:
                 if a == b:
                     for y in range(1, n):
                         if not check_instance(a, y):
@@ -255,7 +258,7 @@ class _State:
                 elif not check_instance(a, b) or not check_instance(b, a):
                     return False
                 for s0, c in ((a, b), (b, a)):
-                    for x in self.by_sq[s0]:
+                    for x in by_sq[s0]:
                         if x == 0:
                             continue
                         if not check_instance(x, c):
@@ -270,12 +273,14 @@ class _State:
                             return False
                     if a == b:
                         break
-            if not self._latin_single(a):
+            if not latin_single(a):
                 return False
-            if a != b and not self._latin_single(b):
+            if a != b and not latin_single(b):
                 return False
+        if self.odd:  # assign keeps the diagonal a partial bijection
+            return True
         # every symbol still of the wrong parity needs an odd number of the
-        # diag_left free diagonal cells; at odd order this always holds
+        # diag_left free diagonal cells
         bad = self.diag_parity.bit_count()
         return bad <= self.diag_left and not (self.diag_left - bad) & 1
 

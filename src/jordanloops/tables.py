@@ -23,9 +23,10 @@ PROPERTY_TAGS = (
 
 KINDS = ("magma", "quasigroup", "loop")
 
-# Rows are lists of Python ints, so memory grows with the square of the
-# order: `construct --order 4096` peaks at about 1.5 GB RSS on CPython 3.11,
-# and twice the order would not fit in a 4 GB address space.
+# Rows are tuples of Python ints, so memory grows with the square of the
+# order: `construct --order 4096` peaks at about 1.4 GB RSS and
+# `tower --depth 11` at about 0.86 GB on CPython 3.11 (README, Limits), and
+# twice the order would not fit in a 4 GB address space.
 ORDER_LIMIT = 1 << 12
 
 
