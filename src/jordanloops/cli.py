@@ -8,6 +8,7 @@ budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import constructions, powers, structure
@@ -179,6 +180,7 @@ def _cmd_gap_loop(args) -> int:
     return 0
 
 
+@functools.cache  # parse_args fills a fresh namespace per call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jordanloops",
@@ -249,9 +251,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     """Run one command; any ValueError becomes ``error: …`` and exit 2."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -2,11 +2,11 @@
 
 The table is kept symmetric throughout, so one bitmask per line tracks the
 symbols used in that row and column.  Propagation closes assignments under
-Latin singles, commutativity mirroring, and Jordan-identity triggers; the
-enumerator additionally prunes with a parity fact: in a commutative
-quasigroup every symbol occurs on the diagonal with the parity of the
-order, so odd-order diagonals are bijections and even-order diagonals use
-every symbol an even number of times.
+Latin singles, commutativity mirroring, and Jordan-identity triggers, and
+applies a parity fact: in a commutative quasigroup every symbol occurs on
+the diagonal with the parity of the order.  At odd order ``assign`` keeps
+the diagonal a bijection; at even order ``process_queue`` refutes a diagonal
+whose free cells cannot give every symbol an even count.
 
 The engine records each fact once: the trail of assignments doubles as the
 propagation queue, and the diagonal of the table as the squaring map.
@@ -34,6 +34,9 @@ class SearchOptions:
 
 @dataclass
 class SearchStats:
+    """``nodes`` counts the states visited, the root and complete tables
+    included; ``failures`` the candidates that assign or propagation refuted."""
+
     nodes: int = 0
     failures: int = 0
     models_found: int = 0
@@ -285,25 +288,14 @@ class _State:
         return bad <= self.diag_left and not (self.diag_left - bad) & 1
 
     def select(self):
-        """Next decision cell and its candidate mask, None when complete."""
+        """Next decision cell and its candidate mask, None when complete:
+        the cell with the fewest candidates in the line with the fewest free
+        symbols, where an odd-order diagonal cell takes only symbols not yet
+        on the diagonal.  Filling the diagonal first would branch on squaring
+        maps that propagation cannot refute until later cells are set."""
         n = self.n
         free = self.free
         T = self.T
-        if self.diag_left:
-            best = None
-            best_count = n + 1
-            for i in range(1, n):
-                if T[i * n + i] < 0:
-                    c = free[i]
-                    if self.odd:
-                        c &= self.diag_parity
-                    count = c.bit_count()
-                    if count < best_count:
-                        best_count = count
-                        best = (i, i, c)
-                        if count == 0:
-                            break
-            return best
         line = -1
         best_count = n + 1
         for i in range(1, n):
@@ -319,9 +311,10 @@ class _State:
         best = None
         best_count = n + 1
         fline = free[line]
+        diag = fline & self.diag_parity if self.odd else fline
         for j in range(1, n):
             if T[base + j] < 0:
-                c = fline & free[j] if j != line else fline
+                c = fline & free[j] if j != line else diag
                 count = c.bit_count()
                 if count < best_count:
                     best_count = count

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import jordanloops
-from jordanloops.cli import run
+from jordanloops.cli import _build_parser, run
 from jordanloops.constructions import even_jordan, jordan_tower
 from jordanloops.tables import parse_table, parse_tables, serialize_table
 
@@ -138,7 +138,8 @@ class TestSearch:
         assert "# nodes=" in captured.out  # partial stats still reported
 
     def test_node_limit_deeper_than_recursion_limit(self, capsys):
-        assert run(["search", "--order", "64", "--node-limit", "5000"]) == 2
+        # without the Jordan rules the search stacks ~1,900 frames by then
+        assert run(["search", "--order", "64", "--no-jordan", "--node-limit", "5000"]) == 2
         captured = capsys.readouterr()
         assert "node limit 5000 hit" in captured.err
         assert captured.out.startswith("# nodes=5001 ")
@@ -291,6 +292,18 @@ class TestEntryPoints:
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+    def test_parser_reused_without_leaking_arguments(self, tmp_path, capsys):
+        assert _build_parser() is _build_parser()
+        f = write(tmp_path, "t.txt", serialize_table(even_jordan(6)))
+        assert run(["verify", "-p", "latin", f]) == 0
+        assert capsys.readouterr().out == "table 1: latin ok\n"
+        assert run(["verify", "-p", "jordan", f]) == 0
+        assert capsys.readouterr().out == "table 1: jordan ok\n"
+        assert run(["search", "--order", "6", "--no-jordan"]) == 0
+        assert "models=456 " in capsys.readouterr().out
+        assert run(["search", "--order", "6"]) == 0
+        assert "models=66 " in capsys.readouterr().out
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert run([]) == 2

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from pathlib import Path
@@ -34,20 +35,38 @@ TREE_SHAPES = {
     (1, True): (1, 0, 1),
     (2, True): (2, 0, 1),
     (3, True): (2, 0, 1),
-    (4, True): (18, 17, 4),
-    (5, True): (43, 0, 6),
-    (6, True): (1205, 1640, 66),
-    (7, True): (3415, 2776, 240),
-    (8, True): (951982, 1053259, 25980),
-    (9, True): (2197847, 3215480, 7560),
+    (4, True): (8, 0, 4),
+    (5, True): (19, 0, 6),
+    (6, True): (295, 56, 66),
+    (7, True): (1276, 300, 240),
+    (8, True): (381192, 223159, 25980),
+    (9, True): (224743, 172641, 7560),
     (1, False): (1, 0, 1),
     (2, False): (2, 0, 1),
     (3, False): (2, 0, 1),
-    (4, False): (18, 17, 4),
-    (5, False): (49, 0, 6),
-    (6, False): (3690, 1157, 456),
-    (7, False): (62782, 1742, 6240),
+    (4, False): (10, 0, 4),
+    (5, False): (40, 0, 6),
+    (6, False): (1897, 120, 456),
+    (7, False): (62517, 1742, 6240),
 }
+
+# sha256 of the labelled Jordan search output, so a change of branching
+# order that moves TREE_SHAPES is seen to keep the same models.
+OUTPUT_DIGESTS = {
+    7: "eb8f0739c9636cc4e61bffc2049627c59f0372d650713e4b636d1e4179bf07dc",
+    8: "8e1d2174090b5231702bab6b50805ec0723b8f6be0ac78931429c497c4fb25cd",
+    9: "007e64ec1c5f5bceb0d5a8502d44230d2d77c7ad71460c7c564a64bd78f24488",
+}
+
+
+def output_digest(tables) -> str:
+    """The digest of bench/oracle.py: each table as its ``order``, ``kind``
+    and row lines, the texts sorted and joined by a blank line."""
+    texts = sorted(
+        "\n".join([f"order {t.order}", f"kind {t.kind}"] + [" ".join(map(str, r)) for r in t.rows])
+        for t in tables
+    )
+    return hashlib.sha256("\n\n".join(texts).encode()).hexdigest()
 
 
 class TestPartialTable:
@@ -285,9 +304,15 @@ def test_search_tree_shape(searched, order, require_jordan):
     assert (stats.nodes, stats.failures, stats.models_found) == TREE_SHAPES[order, require_jordan]
 
 
+@pytest.mark.parametrize("order", sorted(OUTPUT_DIGESTS))
+def test_search_output_digest(searched, order):
+    models, _ = searched(order)
+    assert output_digest(models) == OUTPUT_DIGESTS[order]
+
+
 class TestEnumerate:
     def test_matches_naive_oracle(self):
-        for n in (3, 4, 5, 6):
+        for n in (3, 4, 5, 6, 7):
             for jordan in (True, False):
                 fast, _ = enumerate_loops(SearchOptions(order=n, require_jordan=jordan))
                 slow = naive_commutative_loops(n, jordan)
