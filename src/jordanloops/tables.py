@@ -6,6 +6,8 @@ identity at index 0.
 """
 from __future__ import annotations
 
+from operator import eq
+
 Element = int
 Permutation = tuple[int, ...]
 PropertyTag = str
@@ -336,27 +338,36 @@ def cyclic_group(n: int) -> MagmaTable:
 
 # -- isomorphism ---------------------------------------------------------
 
-def _element_key(rows, x: int):
-    """Cheap isomorphism-invariant data for one element: its power order
-    (-1 if no well-defined x^k, k <= n, is 0), its commutant size, and the
-    tail and cycle lengths of its iterated-squaring walk."""
+def _element_keys(rows):
+    """Cheap isomorphism-invariant data, as a list indexed by element x: its
+    power order (-1 if no well-defined x^k, k <= n, is 0), its commutant
+    size, the tail and cycle lengths of its iterated-squaring walk, and its
+    right-alternative defect count #{y : (x*y)*y != x*(y*y)}."""
     n = len(rows)
-    order = next((k for k, v in enumerate(_power_walk(rows, x, n), start=1) if v == 0), -1)
-    commutant = sum(1 for y in range(n) if rows[x][y] == rows[y][x])
-    seen = {}
-    v = x
-    step = 0
-    while v not in seen:
-        seen[v] = step
-        v = rows[v][v]
-        step += 1
-    return (order, commutant, seen[v], step - seen[v])
+    cols = list(zip(*rows))
+    square = [rows[x][x] for x in range(n)]
+    keys = []
+    for x, rx in enumerate(rows):
+        order = -1
+        for k, v in enumerate(_power_walk(rows, x, n), start=1):
+            if v == 0:
+                order = k
+                break
+        seen = {}
+        v = x
+        while v not in seen:
+            seen[v] = len(seen)
+            v = square[v]
+        tail = seen[v]
+        defect = sum(1 for cy, xy, yy in zip(cols, rx, square) if cy[xy] != rx[yy])
+        keys.append((order, sum(map(eq, rx, cols[x])), tail, len(seen) - tail, defect))
+    return keys
 
 
 def _match(r1, keys1, r2, keys2) -> Permutation | None:
-    """The isomorphism from rows ``r1`` to ``r2`` that maps equal
-    ``_element_key``s and takes the greedy generators of ``r1`` to the
-    lexicographically least images, or None.
+    """The isomorphism from rows ``r1`` to ``r2`` that maps each element to
+    one with the same key (``_element_keys``) and takes the greedy
+    generators of ``r1`` to the lexicographically least images, or None.
 
     ``mapped``, the elements in the order they got an image, is also the
     propagation queue: ``mapped[k]`` is multiplied with ``mapped[:k+1]``, so
@@ -422,8 +433,8 @@ def find_isomorphism(lhs: MagmaTable, rhs: MagmaTable) -> Permutation | None:
     if rhs.order != n:
         return None
     r1, r2 = lhs.rows, rhs.rows
-    keys1 = [_element_key(r1, x) for x in range(n)]
-    keys2 = [_element_key(r2, x) for x in range(n)]
+    keys1 = _element_keys(r1)
+    keys2 = _element_keys(r2)
     if sorted(keys1) != sorted(keys2):
         return None
     return _match(r1, keys1, r2, keys2)
@@ -442,7 +453,7 @@ def classify_up_to_iso(models) -> list[MagmaTable]:
     reps: list = []
     for m in models:
         rows = m.rows
-        keys = [_element_key(rows, x) for x in range(m.order)]
+        keys = _element_keys(rows)
         bucket = buckets.setdefault(tuple(sorted(keys)), [])
         if all(_match(rows, keys, r, r_keys) is None for r, r_keys in bucket):
             bucket.append((rows, keys))

@@ -414,6 +414,13 @@ class TestClassification:
             reps = classify_up_to_iso(models[::-1])
             assert [r.rows for r in reps] == sorted(min(c) for c in classes.values()), n
 
+    def test_order8_classes_pinned(self, searched):
+        models, _ = searched(8)
+        assert classify_up_to_iso(models) == ORDER8_CLASSES
+        shuffled = list(models)
+        random.Random(8).shuffle(shuffled)
+        assert classify_up_to_iso(shuffled) == ORDER8_CLASSES
+
     def test_representatives_sorted(self, searched):
         models, _ = searched(6)
         reps = classify_up_to_iso(models)

@@ -3,7 +3,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jordanloops.constructions import construct, even_jordan, hyper_extend, jordan_tower
@@ -22,6 +22,7 @@ from jordanloops.structure import (
 )
 from jordanloops.tables import (
     PROPERTY_TAGS,
+    _element_keys,
     build_magma,
     check,
     cyclic_group,
@@ -264,6 +265,16 @@ def test_relabelling_maps_closures_and_simplicity(case):
     assert pi is not None and sorted(pi) == list(range(n)) and pi[0] == 0
     assert all(pi[t.rows[x][y]] == u.rows[pi[x]][pi[y]] for x in range(n) for y in range(n))
     assert len(classify_up_to_iso([t, u])) == 1
+
+
+@settings(max_examples=60)
+@given(relabelled_loops())
+@example((symmetric_group_3()[0], [0, 2, 5, 1, 4, 3]))
+def test_element_keys_are_relabelling_invariant(case):
+    t, perm = case
+    keys = _element_keys(t.rows)
+    image = _element_keys(relabel(t, perm).rows)
+    assert all(image[perm[x]] == keys[x] for x in range(t.order))
 
 
 class TestSimplicity:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,7 @@ from oracle import least_isomorphism, relabel
 Z2 = [[0, 1], [1, 0]]
 Z3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
 NONCOMM = [[0, 1], [0, 1]]  # right projection: a*b = b column-wise? rows constant
+ORDER8_CLASSES = parse_tables((Path(__file__).parent / "data" / "order8_classes.txt").read_text())
 
 
 class TestBuildMagma:
@@ -247,6 +249,10 @@ class TestIsomorphism:
         loops += [direct_product(cyclic_group(2), cyclic_group(2)), nc5]
         for n in (5, 6, 7):
             loops += searched(n)[0]
+        # two nonassociative classes that power order, commutant and squaring
+        # walk alone put in one bucket; only the right-alternative defect
+        # count tells them apart
+        loops += [ORDER8_CLASSES[1], ORDER8_CLASSES[3]]
         rng = random.Random(20261018)
         for t in loops:
             n = t.order
