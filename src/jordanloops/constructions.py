@@ -13,6 +13,7 @@ from .tables import (
     ORDER_LIMIT,
     MagmaTable,
     Permutation,
+    _block_rows,
     _check_order,
     _escaping_pair,
     _require_loop,
@@ -33,6 +34,24 @@ def antidiagonal_idempotent(n: int) -> MagmaTable:
     return build_magma(n, [[(a + b) * inv2 % n for b in range(n)] for a in range(n)], "quasigroup")
 
 
+def _adjoin_identity(rows):
+    """Shift every element of ``rows`` up by one and put a new identity 0 in
+    front.  Works in place, dropping each old row as it replaces it."""
+    for i, row in enumerate(rows):
+        rows[i] = [i + 1, *[v + 1 for v in row]]
+    rows.insert(0, list(range(len(rows) + 1)))
+    return rows
+
+
+def _overlay(rows, table, members):
+    """Lay ``table`` over ``members`` of ``rows``: members[i]*members[j] =
+    members[table[i][j]]."""
+    for mi, trow in zip(members, table):
+        target = rows[mi]
+        for mj, t in zip(members, trow):
+            target[mj] = members[t]
+
+
 def idempotent_to_exp2(q: MagmaTable) -> MagmaTable:
     """Adjoin an identity and turn each x*x into the identity.
 
@@ -43,16 +62,10 @@ def idempotent_to_exp2(q: MagmaTable) -> MagmaTable:
     for prop in ("commutative", "idempotent"):
         if not check(q, prop):
             raise ValueError(f"input quasigroup is not {prop}")
-    m = q.order
-    n = m + 1
-    rows = [list(range(n))]
-    for i in range(m):
-        row = [i + 1]
-        qrow = q.rows[i]
-        for j in range(m):
-            row.append(0 if i == j else qrow[j] + 1)
-        rows.append(row)
-    return build_magma(n, rows, "loop")
+    rows = _adjoin_identity(list(q.rows))
+    for i in range(1, len(rows)):
+        rows[i][i] = 0
+    return build_magma(len(rows), rows, "loop")
 
 
 def exp2_to_idempotent(l: MagmaTable) -> MagmaTable:
@@ -137,51 +150,27 @@ def quasigroup_amalgam(group: MagmaTable, blocks: Mapping[tuple[int, int], Magma
             _require_quasigroup(q, f"block ({g},{h})")
     n = s * k
     _check_order(n)
-    rows = [[0] * n for _ in range(n)]
-    for g in range(k):
-        grow = group.rows[g]
-        for h in range(k):
-            block = blocks[(g, h)].rows
-            base = s * grow[h]
-            for a in range(s):
-                target = rows[a + s * g]
-                brow = block[a]
-                for b in range(s):
-                    target[b + s * h] = brow[b] + base
-    return build_magma(n, rows, "quasigroup")
+    return build_magma(n, _block_rows(group.rows, s, lambda g, h: blocks[g, h].rows), "quasigroup")
 
 
 def _amalgam_rows(spec: AmalgamSpec, c: Sequence[int]):
-    """Adjoined-identity amalgam table: block (g, c(g)) carries the loop L_g."""
+    """Adjoined-identity amalgam table: block (g, c(g)) carries the loop L_g,
+    every other block (g, h) the quasigroup for (g, h)."""
     g_tab = spec.group.rows
-    k = spec.group.order
     s = spec.carrier_size
-    n = s * k + 1
-    _check_order(n)
-    rows = [list(range(n))]
-    for g in range(k):
+    _check_order(s * len(g_tab) + 1)
+    quasis = spec.block_quasigroups
+    rows = _adjoin_identity(
+        _block_rows(g_tab, s, lambda g, h: None if h == c[g] else quasis[g, h].rows))
+    for g, h in enumerate(c):
+        lrows = spec.diagonal_loops[g].rows
+        base = s * g_tab[g][h]
         for a in range(s):
-            rows.append([1 + a + s * g] + [0] * (n - 1))
-    for g in range(k):
-        grow = g_tab[g]
-        for h in range(k):
-            if h == c[g]:
-                block = spec.diagonal_loops[g].rows
-                base = s * grow[h]
-                for a in range(s):
-                    target = rows[1 + a + s * g]
-                    brow = block[a + 1]
-                    for b in range(s):
-                        u = brow[b + 1]
-                        target[1 + b + s * h] = 0 if u == 0 else u + base
-            else:
-                block = spec.block_quasigroups[(g, h)].rows
-                base = 1 + s * grow[h]
-                for a in range(s):
-                    target = rows[1 + a + s * g]
-                    brow = block[a]
-                    for b in range(s):
-                        target[1 + b + s * h] = brow[b] + base
+            target = rows[1 + a + s * g]
+            lrow = lrows[a + 1]
+            for b in range(s):
+                u = lrow[b + 1]
+                target[1 + b + s * h] = 0 if u == 0 else u + base
     return rows
 
 
@@ -293,26 +282,15 @@ def union_of_groups(group: MagmaTable, parts: Sequence, quasis: Sequence[MagmaTa
         seen |= members
     if seen != set(range(n)):
         raise ValueError("parts must cover the whole group")
-    part_of = {}
-    for idx, p in enumerate(parts):
-        for e in p[1:]:
-            part_of[e] = idx
     for idx, (p, q) in enumerate(zip(parts, quasis)):
         _require_quasigroup(q, f"part {idx}")
         if q.order != len(p) - 1:
             raise ValueError(f"quasigroup {idx} must have order {len(p) - 1}")
         if not check(q, "jordan"):
             raise ValueError(f"quasigroup {idx} is not a Jordan quasigroup")
-    rows = [[0] * (n - 1) for _ in range(n - 1)]
-    for x in range(1, n):
-        px = part_of[x]
-        grow = group.rows[x]
-        for y in range(1, n):
-            if part_of[y] == px:
-                nz = parts[px][1:]
-                rows[x - 1][y - 1] = nz[quasis[px].rows[nz.index(x)][nz.index(y)]] - 1
-            else:
-                rows[x - 1][y - 1] = grow[y] - 1
+    rows = [[v - 1 for v in grow[1:]] for grow in group.rows[1:]]
+    for p, q in zip(parts, quasis):
+        _overlay(rows, q.rows, [e - 1 for e in p[1:]])
     return build_magma(n - 1, rows, "quasigroup")
 
 
@@ -348,8 +326,6 @@ def replace_subquasigroups(pq: PartitionedQuasigroup, loops: Mapping[int, MagmaT
     e at index e+1.
     """
     pq.validate()
-    q = pq.table
-    n = q.order
     for idx, block in enumerate(pq.blocks):
         loop = loops.get(idx)
         if loop is None:
@@ -357,27 +333,10 @@ def replace_subquasigroups(pq: PartitionedQuasigroup, loops: Mapping[int, MagmaT
         _require_loop(loop, f"replacement {idx}")
         if loop.order != len(block) + 1:
             raise ValueError(f"replacement {idx} must be a loop of order {len(block) + 1}")
-    slot = {}
-    block_of = {}
+    rows = _adjoin_identity(list(pq.table.rows))
     for idx, block in enumerate(pq.blocks):
-        for pos, e in enumerate(block):
-            slot[e] = pos + 1
-            block_of[e] = idx
-    rows = [list(range(n + 1))]
-    for x in range(n):
-        row = [x + 1]
-        bx = block_of[x]
-        block = pq.blocks[bx]
-        lrows = loops[bx].rows
-        qrow = q.rows[x]
-        for y in range(n):
-            if block_of[y] == bx:
-                u = lrows[slot[x]][slot[y]]
-                row.append(0 if u == 0 else block[u - 1] + 1)
-            else:
-                row.append(qrow[y] + 1)
-        rows.append(row)
-    return build_magma(n + 1, rows, "loop")
+        _overlay(rows, loops[idx].rows, (0, *(e + 1 for e in block)))
+    return build_magma(len(rows), rows, "loop")
 
 
 def _check_fermat_exponent(m: int):
@@ -387,6 +346,12 @@ def _check_fermat_exponent(m: int):
     if m > ORDER_LIMIT.bit_length():  # keeps 1 << m a small integer
         raise ValueError(f"m = {m} exceeds the supported table size")
     _check_order((1 << m) + 1)
+
+
+def _fermat_block(m: int, part) -> tuple:
+    """The block of fermat_jordan(m)'s order-2^(m-2) quasigroup that comes
+    from the subgroup ``part`` of Z3 x Z3, before the identity is adjoined."""
+    return tuple(i * 8 + (e - 1) for i in range(1 << (m - 3)) for e in part[1:])
 
 
 def fermat_jordan(m: int) -> MagmaTable:
@@ -403,12 +368,8 @@ def fermat_jordan(m: int) -> MagmaTable:
     parts = [(0, 3, 6), (0, 1, 2), (0, 4, 8), (0, 5, 7)]
     z2 = cyclic_group(2)
     q8 = union_of_groups(g9, parts, [z2] * 4)
-    c = cyclic_group(1 << (m - 3))
-    qbar = direct_product(c, q8)
-    blocks = [
-        tuple(i * 8 + (e - 1) for i in range(c.order) for e in part[1:])
-        for part in parts
-    ]
+    qbar = direct_product(cyclic_group(1 << (m - 3)), q8)
+    blocks = [_fermat_block(m, part) for part in parts]
     big = cyclic_group((1 << (m - 2)) + 1)
     return replace_subquasigroups(
         PartitionedQuasigroup(qbar, blocks), {i: big for i in range(4)}
@@ -418,8 +379,7 @@ def fermat_jordan(m: int) -> MagmaTable:
 def fermat_subloop_members(m: int) -> tuple:
     """Element indices of the canonical order-2^(m-2)+1 subloop of fermat_jordan(m)."""
     _check_fermat_exponent(m)
-    first = tuple(i * 8 + (e - 1) for i in range(1 << (m - 3)) for e in (3, 6))
-    return (0,) + tuple(sorted(e + 1 for e in first))
+    return (0,) + tuple(sorted(e + 1 for e in _fermat_block(m, (0, 3, 6))))
 
 
 def construct(n: int) -> MagmaTable:

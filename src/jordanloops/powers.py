@@ -15,7 +15,6 @@ from .tables import (
     _associativity_witness,
     _check_element,
     _check_order,
-    _power_walk,
     _product_closure,
     _require_loop,
     build_magma,
@@ -65,6 +64,24 @@ def power_profile(table: MagmaTable, c: int, max_k: int, cap: int = DEFAULT_EXPO
 def parenthesization_set(table: MagmaTable, c: int, k: int, cap: int = DEFAULT_EXPONENT_CAP) -> frozenset:
     """All values of k-factor products of c over every parenthesization."""
     return power_profile(table, c, k, cap)[k]
+
+
+def _power_walk(rows, c: int, limit: int):
+    """Yield c^1, c^2, ... up to c^limit while each power is well defined.
+
+    The recursive criterion: c^k is well defined when c^(k-1) is and every
+    split c^j * c^(k-j), 0 < j < k, gives the same value; the walk stops at
+    the first k where two splits disagree.
+    """
+    rc = rows[c]
+    powers = [0]
+    for k in range(1, limit + 1):
+        v = rc[powers[k - 1]]
+        for j in range(2, k):
+            if rows[powers[j]][powers[k - j]] != v:
+                return
+        powers.append(v)
+        yield v
 
 
 def is_well_defined(table: MagmaTable, c: int, k: int) -> bool:
@@ -170,7 +187,11 @@ def powers_gap_loop(m: int, n: int) -> tuple[MagmaTable, int]:
     params = powers_gap_params(m, n)
     s = params.s
     order = n * s
-    circ = [[params.circ(u, v) for v in range(s)] for u in range(s)]
+    phi = params.phi
+    inv = [0] * s
+    for u, p in enumerate(phi):
+        inv[p] = u
+    circ = [[inv[(pu + pv) % s] for pv in phi] for pu in phi]  # params.circ, tabulated
     rows = [[0] * order for _ in range(order)]
     for u1 in range(s):
         for a1 in range(n):

@@ -26,7 +26,7 @@ PROPERTY_TAGS = (
 KINDS = ("magma", "quasigroup", "loop")
 
 # Rows are tuples of Python ints, so memory grows with the square of the
-# order: `construct --order 4096` peaks at about 1.4 GB RSS and
+# order: `construct --order 4095` peaks at 1,427 MB RSS and
 # `tower --depth 11` at about 0.86 GB on CPython 3.11 (README, Limits), and
 # twice the order would not fit in a 4 GB address space.
 ORDER_LIMIT = 1 << 12
@@ -283,24 +283,6 @@ def _product_closure(rows, members):
     return closed
 
 
-def _power_walk(rows, c: int, limit: int):
-    """Yield c^1, c^2, ... up to c^limit while each power is well defined.
-
-    The recursive criterion: c^k is well defined when c^(k-1) is and every
-    split c^j * c^(k-j), 0 < j < k, gives the same value; the walk stops at
-    the first k where two splits disagree.
-    """
-    rc = rows[c]
-    powers = [0]
-    for k in range(1, limit + 1):
-        v = rc[powers[k - 1]]
-        for j in range(2, k):
-            if rows[powers[j]][powers[k - j]] != v:
-                return
-        powers.append(v)
-        yield v
-
-
 def opposite(table: MagmaTable) -> MagmaTable:
     """The transposed table: x *' y = y*x."""
     n = table.order
@@ -308,26 +290,28 @@ def opposite(table: MagmaTable) -> MagmaTable:
     return build_magma(n, [[rows[j][i] for j in range(n)] for i in range(n)], table.kind)
 
 
+def _block_rows(outer, s: int, block):
+    """Rows of the block product on pairs (a, g), pair encoded a + s*g:
+    (a,g)(b,h) = (a *_{g,h} b, g*h), where ``outer`` holds the rows of the
+    outer table and ``block(g, h)`` the rows of *_{g,h} on 0..s-1.  A block
+    given as None stays 0."""
+    zero = ((0,) * s,) * s
+    rows = []
+    for g, grow in enumerate(outer):
+        line = []
+        for h, gh in enumerate(grow):
+            brows = block(g, h)
+            line.append((zero, 0) if brows is None else (brows, s * gh))
+        rows.extend([v + base for brows, base in line for v in brows[a]] for a in range(s))
+    return rows
+
+
 def direct_product(a: MagmaTable, b: MagmaTable) -> MagmaTable:
     """Componentwise product on pairs, pair (i, j) encoded as i*|B| + j."""
-    na, nb = a.order, b.order
-    n = na * nb
+    n = a.order * b.order
     _check_order(n)
-    ra, rb = a.rows, b.rows
-    rows = [[0] * n for _ in range(n)]
-    for i1 in range(na):
-        for j1 in range(nb):
-            x = i1 * nb + j1
-            rowx = rows[x]
-            rai = ra[i1]
-            rbj = rb[j1]
-            for i2 in range(na):
-                base = rai[i2] * nb
-                off = i2 * nb
-                for j2 in range(nb):
-                    rowx[off + j2] = base + rbj[j2]
     kind = KINDS[min(KINDS.index(a.kind), KINDS.index(b.kind))]
-    return build_magma(n, rows, kind)
+    return build_magma(n, _block_rows(a.rows, b.order, lambda g, h: b.rows), kind)
 
 
 def cyclic_group(n: int) -> MagmaTable:
@@ -340,16 +324,19 @@ def cyclic_group(n: int) -> MagmaTable:
 
 def _element_keys(rows):
     """Cheap isomorphism-invariant data, as a list indexed by element x: its
-    power order (-1 if no well-defined x^k, k <= n, is 0), its commutant
-    size, the tail and cycle lengths of its iterated-squaring walk, and its
-    right-alternative defect count #{y : (x*y)*y != x*(y*y)}."""
+    right-power order (the least k <= n whose k-fold right power
+    x*(x*(...*x)) is 0, else -1), its commutant size, the tail and cycle
+    lengths of its iterated-squaring walk, and its right-alternative defect
+    count #{y : (x*y)*y != x*(y*y)}."""
     n = len(rows)
     cols = list(zip(*rows))
     square = [rows[x][x] for x in range(n)]
     keys = []
     for x, rx in enumerate(rows):
         order = -1
-        for k, v in enumerate(_power_walk(rows, x, n), start=1):
+        v = 0
+        for k in range(1, n + 1):
+            v = rx[v]
             if v == 0:
                 order = k
                 break

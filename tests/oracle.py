@@ -1,10 +1,12 @@
 """Slow reference implementations used to cross-check the fast engines.
 
 Everything here favours obviousness over speed: plain generate-and-test
-with only Latin-feasibility pruning, in a fixed cell order.
+with only Latin-feasibility pruning, in a fixed cell order.  The output
+digest pins whole lists of tables.
 """
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 from jordanloops.structure import conjugation, inner_left, inner_right
@@ -168,3 +170,13 @@ def canonical_form(table: MagmaTable) -> tuple:
         if best is None or form < best:
             best = form
     return best
+
+
+def output_digest(tables) -> str:
+    """The digest of bench/oracle.py: each table as its ``order``, ``kind``
+    and row lines, the texts sorted and joined by a blank line."""
+    texts = sorted(
+        "\n".join([f"order {t.order}", f"kind {t.kind}"] + [" ".join(map(str, r)) for r in t.rows])
+        for t in tables
+    )
+    return hashlib.sha256("\n\n".join(texts).encode()).hexdigest()

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import pytest
@@ -34,6 +35,7 @@ from jordanloops.tables import (
     find_counterexample,
     find_isomorphism,
 )
+from oracle import output_digest
 
 TOWER2_GOLDEN = [
     [0, 1, 2, 3, 4, 5, 6],
@@ -80,6 +82,12 @@ def amalgam_blocks(odd_one):
     """A Z2 block for every pair of Q3 except (0, 1), which gets ``odd_one``."""
     return {(g, h): odd_one if (g, h) == (0, 1) else Z2 for g in range(3) for h in range(3)}
 
+
+# output_digest of construct(n) for n = 6..129, n != 9, and of
+# adjoin_identity_with_bijection over amalgam_spec(block=Z2) with Z2 also on
+# the diagonal pairs, for all six bijections of Q3.
+CONSTRUCT_DIGEST = "f8779dfa43bb967d904352896dbd02d9594bb2a302d9fd5952bd433fcb9e6858"
+ADJOIN_DIGEST = "cc12d5fee4050c352771da2178d03c359a932225991e01aac9f3972063ff2da4"
 
 OFF_DIAGONAL = [(g, h) for g in range(3) for h in range(3) if g != h]
 
@@ -257,6 +265,16 @@ class TestAmalgams:
         with pytest.raises(ValidationError, match="column 1 repeats symbol 1"):
             build_magma(7, bottom.rows, "loop")
 
+    def test_adjoin_identity_every_bijection_pinned(self):
+        spec = AmalgamSpec(
+            group=Q3,
+            carrier_size=2,
+            diagonal_loops={g: Z3 for g in range(3)},
+            block_quasigroups={(g, h): Z2 for g in range(3) for h in range(3)},
+        )
+        tables = [adjoin_identity_with_bijection(spec, c) for c in itertools.permutations(range(3))]
+        assert output_digest(tables) == ADJOIN_DIGEST
+
     def test_adjoin_identity_bijection_validated(self):
         g, blocks = self.fig_parts()
         spec = AmalgamSpec(
@@ -402,6 +420,9 @@ class TestConstructAnyOrder:
     @pytest.mark.parametrize("n", [6, 7, 8, 10, 11, 12, 13, 14, 15, 16, 17, 33])
     def test_valid_orders(self, n):
         assert_nonassociative_jordan(construct(n), n)
+
+    def test_outputs_pinned(self):
+        assert output_digest(construct(n) for n in range(6, 130) if n != 9) == CONSTRUCT_DIGEST
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 9])
     def test_invalid_orders(self, n):

@@ -157,6 +157,19 @@ class TestGapParams:
 
 
 class TestGapLoop:
+    @pytest.mark.parametrize("m,n", [(2, 3), (4, 3), (3, 5), (7, 3), (2, 9), (9, 5)])
+    def test_rows_follow_circ(self, m, n):
+        # (a1,u1)*(a2,u2) encoded a + n*u, with params.circ when a1 = a2 = 0
+        p = powers_gap_params(m, n)
+        gap, _ = powers_gap_loop(m, n)
+        s = p.s
+        for x in range(n * s):
+            a1, u1 = x % n, x // n
+            for y in range(n * s):
+                a2, u2 = y % n, y // n
+                u = p.circ(u1, u2) if a1 == a2 == 0 else (u1 + u2) % s
+                assert gap.rows[x][y] == (a1 + a2) % n + n * u
+
     def test_golden_values(self):
         gap, c = powers_gap_loop(2, 3)
         assert gap.order == 12 and c == 4

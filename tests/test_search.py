@@ -1,4 +1,3 @@
-import hashlib
 import itertools
 import random
 from pathlib import Path
@@ -24,7 +23,7 @@ from jordanloops.tables import (
     find_isomorphism,
     parse_tables,
 )
-from oracle import canonical_form, naive_commutative_loops, relabel
+from oracle import canonical_form, naive_commutative_loops, output_digest, relabel
 
 ORDER8_CLASSES = parse_tables((Path(__file__).parent / "data" / "order8_classes.txt").read_text())
 
@@ -57,16 +56,6 @@ OUTPUT_DIGESTS = {
     8: "8e1d2174090b5231702bab6b50805ec0723b8f6be0ac78931429c497c4fb25cd",
     9: "007e64ec1c5f5bceb0d5a8502d44230d2d77c7ad71460c7c564a64bd78f24488",
 }
-
-
-def output_digest(tables) -> str:
-    """The digest of bench/oracle.py: each table as its ``order``, ``kind``
-    and row lines, the texts sorted and joined by a blank line."""
-    texts = sorted(
-        "\n".join([f"order {t.order}", f"kind {t.kind}"] + [" ".join(map(str, r)) for r in t.rows])
-        for t in tables
-    )
-    return hashlib.sha256("\n\n".join(texts).encode()).hexdigest()
 
 
 class TestPartialTable:
