@@ -14,8 +14,10 @@ from .tables import (
     MagmaTable,
     Permutation,
     _block_rows,
+    _check_int,
     _check_order,
     _escaping_pair,
+    _overlay,
     _require_loop,
     _require_quasigroup,
     build_magma,
@@ -36,20 +38,13 @@ def antidiagonal_idempotent(n: int) -> MagmaTable:
 
 def _adjoin_identity(rows):
     """Shift every element of ``rows`` up by one and put a new identity 0 in
-    front.  Works in place, dropping each old row as it replaces it."""
+    front.  Works in place, dropping each old row as it replaces it, and
+    shares one int object per value, so the new cells allocate no ints."""
+    succ = list(range(1, len(rows) + 1))
     for i, row in enumerate(rows):
-        rows[i] = [i + 1, *[v + 1 for v in row]]
-    rows.insert(0, list(range(len(rows) + 1)))
+        rows[i] = [succ[i], *[succ[v] for v in row]]
+    rows.insert(0, [0, *succ])
     return rows
-
-
-def _overlay(rows, table, members):
-    """Lay ``table`` over ``members`` of ``rows``: members[i]*members[j] =
-    members[table[i][j]]."""
-    for mi, trow in zip(members, table):
-        target = rows[mi]
-        for mj, t in zip(members, trow):
-            target[mj] = members[t]
 
 
 def idempotent_to_exp2(q: MagmaTable) -> MagmaTable:
@@ -225,33 +220,6 @@ def guaranteed_jordan_conditions(g: MagmaTable, l: MagmaTable, q: MagmaTable) ->
     return True
 
 
-def odd_jordan(n: int) -> MagmaTable:
-    """Nonassociative Jordan loop of odd order n > 5 with n-1 not a power of 2.
-
-    Writes n-1 = 2^l * k (k >= 3 odd) and amalgamates the cyclic group of
-    order 2^l + 1 over an idempotent quasigroup of order k, off-diagonal
-    blocks carrying the cyclic group of order 2^l on L minus its identity.
-    """
-    if n <= 5 or n % 2 == 0:
-        raise ValueError(f"odd-order construction needs odd n > 5, got {n}")
-    m = n - 1
-    l = (m & -m).bit_length() - 1
-    k = m >> l
-    if k < 3:
-        raise ValueError(f"n - 1 = {m} is a power of 2; this construction does not apply")
-    carrier = 1 << l
-    g = antidiagonal_idempotent(k)
-    loop = cyclic_group(carrier + 1)
-    q = cyclic_group(carrier)
-    spec = AmalgamSpec(
-        group=g,
-        carrier_size=carrier,
-        diagonal_loops={i: loop for i in range(k)},
-        block_quasigroups={(i, j): q for i in range(k) for j in range(k) if i != j},
-    )
-    return loop_amalgam(spec)
-
-
 # -- union-of-groups and subquasigroup replacement -----------------------
 
 def union_of_groups(group: MagmaTable, parts: Sequence, quasis: Sequence[MagmaTable]) -> MagmaTable:
@@ -339,13 +307,35 @@ def replace_subquasigroups(pq: PartitionedQuasigroup, loops: Mapping[int, MagmaT
     return build_magma(len(rows), rows, "loop")
 
 
+def odd_jordan(n: int) -> MagmaTable:
+    """Nonassociative Jordan loop of odd order n > 5 with n-1 not a power of 2.
+
+    Writes n-1 = 2^l * k (k >= 3 odd), crosses the idempotent quasigroup of
+    order k with Z_(2^l) and replaces each closed block {g} x Z_(2^l) with
+    Z_(2^l+1).  This block-replaced direct product equals the loop amalgam
+    with Z_(2^l+1) on the diagonal and Z_(2^l) off it, as
+    test_odd_jordan_is_the_loop_amalgam checks.
+    """
+    if n <= 5 or n % 2 == 0:
+        raise ValueError(f"odd-order construction needs odd n > 5, got {n}")
+    m = n - 1
+    l = (m & -m).bit_length() - 1
+    k = m >> l
+    if k < 3:
+        raise ValueError(f"n - 1 = {m} is a power of 2; this construction does not apply")
+    s = 1 << l
+    qbar = direct_product(antidiagonal_idempotent(k), cyclic_group(s))
+    blocks = [range(s * g, s * (g + 1)) for g in range(k)]
+    loop = cyclic_group(s + 1)
+    return replace_subquasigroups(PartitionedQuasigroup(qbar, blocks), {g: loop for g in range(k)})
+
+
 def _check_fermat_exponent(m: int):
     """Reject an exponent m whose order-2^m+1 Fermat loop is not buildable."""
-    if m <= 3:
-        raise ValueError(f"this construction needs m > 3, got {m}")
-    if m > ORDER_LIMIT.bit_length():  # keeps 1 << m a small integer
-        raise ValueError(f"m = {m} exceeds the supported table size")
-    _check_order((1 << m) + 1)
+    _check_int(m, "m")
+    top = (ORDER_LIMIT - 1).bit_length() - 1  # largest m with 2^m + 1 <= ORDER_LIMIT
+    if not 3 < m <= top:
+        raise ValueError(f"this construction needs 3 < m <= {top} (the supported table size), got {m}")
 
 
 def _fermat_block(m: int, part) -> tuple:
@@ -384,6 +374,7 @@ def fermat_subloop_members(m: int) -> tuple:
 
 def construct(n: int) -> MagmaTable:
     """A nonassociative Jordan loop of order n, for any n >= 6 except 9."""
+    _check_int(n)
     if n < 6 or n == 9:
         raise ValueError(
             f"no nonassociative Jordan loop of order {n} exists; "
@@ -436,11 +427,10 @@ def jordan_tower(depth: int) -> MagmaTable:
     Depth 1 gives the cyclic group of order 3; every deeper level is a
     simple nonassociative Jordan loop that is not left-alternative.
     """
-    if depth < 0:
-        raise ValueError(f"depth must be nonnegative, got {depth}")
-    if depth > ORDER_LIMIT.bit_length():  # keeps 2 << depth a small integer
-        raise ValueError(f"depth {depth} exceeds the supported table size")
-    _check_order((2 << depth) - 1)
+    _check_int(depth, "depth")
+    top = (ORDER_LIMIT + 1).bit_length() - 2  # largest depth with 2^(depth+1) - 1 <= ORDER_LIMIT
+    if not 0 <= depth <= top:
+        raise ValueError(f"depth must be in 0..{top} (the supported table size), got {depth}")
     t = build_magma(1, [[0]], "loop")
     for _ in range(depth):
         t = hyper_extend(t)

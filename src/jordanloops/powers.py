@@ -13,11 +13,15 @@ from .tables import (
     MagmaTable,
     Permutation,
     _associativity_witness,
+    _block_rows,
     _check_element,
+    _check_int,
     _check_order,
+    _overlay,
     _product_closure,
     _require_loop,
     build_magma,
+    cyclic_group,
 )
 
 DEFAULT_EXPONENT_CAP = 64
@@ -160,6 +164,8 @@ class PowersLoopParams:
 def powers_gap_params(m: int, n: int) -> PowersLoopParams:
     """s = least integer >= m+2 coprime to n, and the permutation phi of Z_s
     fixing i*[n] for i < m and reversing the tail."""
+    _check_int(m, "m")
+    _check_int(n, "n")
     if m < 2:
         raise ValueError(f"m must be at least 2, got {m}")
     if n < 3 or n % 2 == 0:
@@ -186,21 +192,9 @@ def powers_gap_loop(m: int, n: int) -> tuple[MagmaTable, int]:
     """
     params = powers_gap_params(m, n)
     s = params.s
-    order = n * s
-    phi = params.phi
-    inv = [0] * s
-    for u, p in enumerate(phi):
-        inv[p] = u
-    circ = [[inv[(pu + pv) % s] for pv in phi] for pu in phi]  # params.circ, tabulated
-    rows = [[0] * order for _ in range(order)]
-    for u1 in range(s):
-        for a1 in range(n):
-            row = rows[a1 + n * u1]
-            cu = circ[u1]
-            for u2 in range(s):
-                for a2 in range(n):
-                    if a1 == 0 and a2 == 0:
-                        row[n * u2] = n * cu[u2]
-                    else:
-                        row[a2 + n * u2] = (a1 + a2) % n + n * ((u1 + u2) % s)
-    return build_magma(order, rows, "loop"), 1 + n
+    zn, zs = cyclic_group(n).rows, cyclic_group(s).rows
+    rows = _block_rows(zs, n, lambda g, h: zn)
+    # phi carries the twisted addition to Z_s, so laying Z_s over the elements
+    # (0, u) listed in order of phi(u) gives (0,u)*(0,v) = (0, u o v)
+    _overlay(rows, zs, [n * u for u in sorted(range(s), key=params.phi.__getitem__)])
+    return build_magma(n * s, rows, "loop"), 1 + n

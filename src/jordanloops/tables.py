@@ -26,8 +26,8 @@ PROPERTY_TAGS = (
 KINDS = ("magma", "quasigroup", "loop")
 
 # Rows are tuples of Python ints, so memory grows with the square of the
-# order: `construct --order 4095` peaks at 1,427 MB RSS and
-# `tower --depth 11` at about 0.86 GB on CPython 3.11 (README, Limits), and
+# order: `construct --order 4095` peaks at 899 MB RSS and
+# `tower --depth 11` at 786 MB on CPython 3.11 (README, Limits), and
 # twice the order would not fit in a 4 GB address space.
 ORDER_LIMIT = 1 << 12
 
@@ -216,9 +216,15 @@ def _require_loop(table: MagmaTable, op: str):
         raise ValueError(f"{op} requires a loop, got kind {table.kind!r}")
 
 
+def _check_int(value, name: str = "order"):
+    """Reject anything but a plain int (bool excluded) before any arithmetic."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{name} must be an int, got {value!r}")
+
+
 def _check_order(n: int):
-    """Reject a table order outside 1..ORDER_LIMIT; builders call this
-    before they allocate."""
+    """Reject a non-int order or one outside 1..ORDER_LIMIT, before allocating."""
+    _check_int(n)
     if not 1 <= n <= ORDER_LIMIT:
         raise ValidationError(f"order {n} out of supported range 1..{ORDER_LIMIT}")
 
@@ -304,6 +310,15 @@ def _block_rows(outer, s: int, block):
             line.append((zero, 0) if brows is None else (brows, s * gh))
         rows.extend([v + base for brows, base in line for v in brows[a]] for a in range(s))
     return rows
+
+
+def _overlay(rows, table, members):
+    """Lay ``table`` over ``members`` of ``rows``: members[i]*members[j] =
+    members[table[i][j]]."""
+    for mi, trow in zip(members, table):
+        target = rows[mi]
+        for mj, t in zip(members, trow):
+            target[mj] = members[t]
 
 
 def direct_product(a: MagmaTable, b: MagmaTable) -> MagmaTable:

@@ -23,8 +23,8 @@ from jordanloops.constructions import (
     replace_subquasigroups,
     union_of_groups,
 )
-from jordanloops.powers import powers_gap_loop
-from jordanloops.search import PartialTable, propagate
+from jordanloops.powers import powers_gap_loop, powers_gap_params
+from jordanloops.search import PartialTable, SearchOptions, enumerate_loops, propagate
 from jordanloops.tables import (
     ORDER_LIMIT,
     ValidationError,
@@ -160,6 +160,29 @@ def test_oversize_order_is_value_error(name):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20  # refused before any table of that size was built
+
+
+# Orders, depths and exponents that are not plain ints: each call must refuse
+# the argument before any arithmetic on it.
+NON_INT_CALLS = {
+    "build_magma": lambda v: build_magma(v, [[0]]),
+    "cyclic_group": cyclic_group,
+    "construct": construct,
+    "PartialTable.blank": PartialTable.blank,
+    "enumerate_loops": lambda v: enumerate_loops(SearchOptions(order=v)),
+    "jordan_tower": jordan_tower,
+    "fermat_jordan": fermat_jordan,
+    "fermat_subloop_members": fermat_subloop_members,
+    "powers_gap_params m": lambda v: powers_gap_params(v, 3),
+    "powers_gap_params n": lambda v: powers_gap_params(2, v),
+}
+
+
+@pytest.mark.parametrize("value", [3.0, True], ids=repr)
+@pytest.mark.parametrize("name", sorted(NON_INT_CALLS))
+def test_non_int_argument_is_validation_error(name, value):
+    with pytest.raises(ValidationError, match="must be an int"):
+        NON_INT_CALLS[name](value)
 
 
 class TestCorrespondence:
@@ -344,6 +367,20 @@ class TestOddJordan:
     def test_small_odd_orders(self):
         for n in (7, 11, 13, 15, 21, 25):
             assert_nonassociative_jordan(odd_jordan(n), n)
+
+    @pytest.mark.parametrize("n", [7, 11, 13, 19, 21, 25, 27])
+    def test_odd_jordan_is_the_loop_amalgam(self, n):
+        """The block-replaced direct product against the paper's amalgam:
+        Z_(s+1) on every diagonal block, Z_s on every other, n - 1 = s*k."""
+        s = (n - 1) & (1 - n)
+        k = (n - 1) // s
+        spec = AmalgamSpec(
+            group=antidiagonal_idempotent(k),
+            carrier_size=s,
+            diagonal_loops={g: cyclic_group(s + 1) for g in range(k)},
+            block_quasigroups={(g, h): cyclic_group(s) for g in range(k) for h in range(k) if g != h},
+        )
+        assert odd_jordan(n) == loop_amalgam(spec)
 
     def test_rejects_bad_orders(self):
         for n in (5, 9, 6, 17):  # 17 = 2^4 + 1 has no odd part k >= 3
