@@ -10,13 +10,32 @@ whose free cells cannot give every symbol an even count.
 
 The engine records each fact once: the trail of assignments doubles as the
 propagation queue, and the diagonal of the table as the squaring map.
+
+Without ``up_to_iso`` the search runs once from the blank table and lists
+every labelled model.  With it, the search runs once per conjugacy class of
+squaring maps, from a table seeded with that diagonal: an isomorphism of
+commutative loops conjugates the squaring map, so this meets every class
+(McKay, Meynert and Myrvold, "Small Latin squares, quasigroups and loops",
+J. Combin. Des. 15, 2007).  The completions of each squaring class are
+classified on their own, each class is listed by its least relabelling, and
+the labelled models are counted as the sum of (n-1)!/|Aut L|.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from math import factorial
 
-from .tables import MagmaTable, ValidationError, _check_order, build_magma, check, classify_up_to_iso
+from .tables import (
+    MagmaTable,
+    ValidationError,
+    _check_int,
+    _check_order,
+    _least_form,
+    build_magma,
+    check,
+    classify_up_to_iso,
+)
 
 
 @dataclass(frozen=True)
@@ -35,7 +54,12 @@ class SearchOptions:
 @dataclass
 class SearchStats:
     """``nodes`` counts the states visited, the root and complete tables
-    included; ``failures`` the candidates that assign or propagation refuted."""
+    included; ``failures`` the candidates that assign or propagation refuted.
+
+    With ``up_to_iso`` both count the seeded trees: each seed is one node,
+    and a failure when propagation refutes it, and the tree searched from
+    it adds its own nodes and failures.  ``models_found`` is then the sum of
+    (n-1)!/|Aut L| over the classes found, the number of labelled models."""
 
     nodes: int = 0
     failures: int = 0
@@ -324,9 +348,10 @@ class _State:
         return best
 
 
-def propagate(pt: PartialTable, require_jordan: bool = True) -> PartialTable | None:
-    """Close a partial table under Latin singles, commutativity mirroring,
-    and Jordan triggers; None on contradiction."""
+def _seeded(pt: PartialTable, require_jordan: bool) -> _State | None:
+    """A search state holding the cells of ``pt``, closed under Latin
+    singles, commutativity mirroring and Jordan triggers; None on
+    contradiction."""
     n = pt.order
     state = _State(n, require_jordan)
     T = state.T
@@ -342,7 +367,26 @@ def propagate(pt: PartialTable, require_jordan: bool = True) -> PartialTable | N
             return None
     if not state.process_queue(0):
         return None
-    return PartialTable(n, tuple(state.T))
+    return state
+
+
+def propagate(pt: PartialTable, require_jordan: bool = True) -> PartialTable | None:
+    """Close a partial table under Latin singles, commutativity mirroring,
+    and Jordan triggers; None on contradiction."""
+    state = _seeded(pt, require_jordan)
+    return None if state is None else PartialTable(pt.order, tuple(state.T))
+
+
+def _check_limits(options: SearchOptions, stats: SearchStats, start: float, n: int):
+    """Raise SearchIncomplete once the node limit or the time budget is spent."""
+    if options.node_limit is not None and stats.nodes > options.node_limit:
+        spent = f"node limit {options.node_limit}"
+    elif options.time_budget is not None and time.monotonic() - start > options.time_budget:
+        spent = f"time budget {options.time_budget}s"
+    else:
+        return
+    stats.seconds = time.monotonic() - start
+    raise SearchIncomplete(f"{spent} hit before the order-{n} space was exhausted", stats)
 
 
 def _run(state: _State, options: SearchOptions, stats: SearchStats, models: list, start: float):
@@ -354,19 +398,10 @@ def _run(state: _State, options: SearchOptions, stats: SearchStats, models: list
     stack = []
     while True:
         stats.nodes += 1
-        if node_limit is not None and stats.nodes > node_limit:
-            stats.seconds = time.monotonic() - start
-            raise SearchIncomplete(
-                f"node limit {node_limit} hit before the order-{state.n} space was exhausted",
-                stats,
-            )
-        if time_budget is not None and not stats.nodes & 255:
-            if time.monotonic() - start > time_budget:
-                stats.seconds = time.monotonic() - start
-                raise SearchIncomplete(
-                    f"time budget {time_budget}s hit before the order-{state.n} space was exhausted",
-                    stats,
-                )
+        if (node_limit is not None and stats.nodes > node_limit) or (
+            time_budget is not None and not stats.nodes & 255
+        ):
+            _check_limits(options, stats, start, state.n)
         sel = state.select()
         if sel is None:
             models.append(tuple(state.T))
@@ -388,32 +423,188 @@ def _run(state: _State, options: SearchOptions, stats: SearchStats, models: list
             return
 
 
+# -- squaring classes ----------------------------------------------------
+#
+# Drawn as a functional graph, the squaring map x -> x*x of a loop fixes 0
+# and no other point (x*x = x forces x = 0).  At odd order it is a
+# permutation.  At even order every fibre has even size, so a point off a
+# cycle has an even number of preimages, a point on a cycle (0 included) an
+# odd number off the cycle, and every tree hanging from a point has an odd
+# number of points.  A rooted tree is written (size, children), with the
+# children in descending order; a cycle of trees (size, trees), rotated to
+# its greatest form.  Classes are built on demand from these canonical
+# forms, so no table of all trees up to the order is kept.
+
+
+def _tuples(total: int, bound: tuple, parts, descending: bool):
+    """Tuples of items drawn from ``parts(size)``, each at most ``bound``
+    and ``total`` points in all; when ``descending``, each item is at most
+    the one before it, so a multiset is listed once."""
+    if not total:
+        yield ()
+    for size in range(min(total, bound[0]), 0, -1):
+        for item in parts(size):
+            if item <= bound:
+                for rest in _tuples(total - size, item if descending else bound, parts, descending):
+                    yield (item, *rest)
+
+
+def _trees(size: int):
+    """Rooted trees of ``size`` points whose subtrees below the root all
+    have an odd number of points."""
+    for children in _tuples(size - 1, (size,), _odd_trees, True):
+        yield (size, children)
+
+
+def _odd_trees(size: int):
+    return _trees(size) if size & 1 else ()
+
+
+def _even_trees(size: int):
+    return () if size & 1 else _trees(size)
+
+
+def _cycles(size: int):
+    """Cycles of at least two trees with an even number of points each,
+    ``size`` points in all."""
+    for head_size in range(size - 2, 1, -2):
+        for head in _trees(head_size):
+            for rest in _tuples(size - head_size, head, _even_trees, False):
+                cycle = (head, *rest)
+                if all(cycle >= cycle[k:] + cycle[:k] for k in range(1, len(cycle))):
+                    yield (size, cycle)
+
+
+def _lengths(size: int):
+    return ((size,),) if size > 1 else ()
+
+
+def _rotation(length: int, first: int) -> list:
+    """The images of first, first+1, ... under one cycle through them in turn."""
+    return [first + (k + 1) % length for k in range(length)]
+
+
+def _squaring_map(root: tuple, cycles) -> list:
+    """The squaring map of a graph: ``root`` hangs from 0, and the trees of
+    each cycle from the cycle's points."""
+    sq = [0]
+
+    def hang(tree, at):
+        for child in tree[1]:
+            sq.append(at)
+            hang(child, len(sq) - 1)
+
+    hang(root, 0)
+    for _, trees in cycles:
+        first = len(sq)
+        sq += _rotation(len(trees), first)
+        for k, tree in enumerate(trees):
+            hang(tree, first + k)
+    return sq
+
+
+def _squaring_classes(n: int):
+    """One squaring map of an order-n loop per conjugacy class; at odd order
+    one per partition of n - 1 with no part 1."""
+    if n & 1:
+        leaf = (1, ())
+        for lengths in _tuples(n - 1, (n,), _lengths, True):
+            yield _squaring_map(leaf, [(p, (leaf,) * p) for (p,) in lengths])
+        return
+    for size in range(n, 1, -2):
+        for root in _trees(size):
+            for cycles in _tuples(n - size, (n,), _cycles, True):
+                yield _squaring_map(root, cycles)
+
+
+def _class_seeds(n: int):
+    """For each squaring class, the partial tables to search from.
+
+    Each holds the class's diagonal.  The zero diagonal, which leaves all of
+    S_(n-1) as symmetry, also gets row 1: in an exponent-2 loop L_a swaps 0
+    and a and moves every other point, so relabelling a to 1 and then
+    conjugating by permutations that fix 0 and 1 reaches row 1 = (1, 0, d)
+    with d one derangement of 2..n-1 per cycle type."""
+    blank = PartialTable.blank(n).cells
+    for sq in _squaring_classes(n):
+        cells = list(blank)
+        cells[:: n + 1] = sq
+        if n & 1 or any(sq):
+            yield [PartialTable(n, tuple(cells))]
+        else:
+            yield _exponent2_seeds(n, cells)
+
+
+def _exponent2_seeds(n: int, cells: list):
+    """``cells`` with row 1 seeded, once per cycle type on 2..n-1."""
+    for lengths in _tuples(n - 2, (n,), _lengths, True):
+        row = [1, 0]
+        for (p,) in lengths:
+            row += _rotation(p, len(row))
+        cells[n : 2 * n] = row
+        yield PartialTable(n, tuple(cells))
+
+
+def _materialise(n: int, raw: list, nonassociative_only: bool) -> list[MagmaTable]:
+    """The completions in ``raw`` as loops, least first, without the
+    associative ones if asked."""
+    raw.sort()
+    tables = [build_magma(n, [cells[i * n:(i + 1) * n] for i in range(n)], "loop") for cells in raw]
+    if nonassociative_only:
+        tables = [t for t in tables if not check(t, "associative")]
+    return tables
+
+
+def _class_representatives(options: SearchOptions, stats: SearchStats, start: float) -> list[MagmaTable]:
+    """The least form of each isomorphism class, searched one squaring class
+    at a time: loops in different squaring classes are never isomorphic."""
+    n = options.order
+    labellings = factorial(n - 1)
+    reps = []
+    for seeds in _class_seeds(n):
+        raw: list = []
+        for pt in seeds:
+            stats.nodes += 1
+            _check_limits(options, stats, start, n)
+            state = _seeded(pt, options.require_jordan)
+            if state is None:
+                stats.failures += 1
+            else:
+                _run(state, options, stats, raw, start)
+        for table in classify_up_to_iso(_materialise(n, raw, options.nonassociative_only)):
+            rows, automorphisms = _least_form(table.rows)
+            stats.models_found += labellings // automorphisms
+            reps.append(build_magma(n, rows, "loop"))
+    return reps
+
+
 def enumerate_loops(options: SearchOptions) -> tuple[list[MagmaTable], SearchStats]:
     """All commutative loops of the given order meeting the requested
-    filters, lexicographically least table first, plus search statistics."""
+    filters, lexicographically least table first, plus search statistics.
+
+    With ``up_to_iso`` each class is listed by its least table, and the
+    search runs once per squaring class instead of over every labelling."""
     n = options.order
+    _check_order(n)
     if n > 64:
         raise ValueError(f"order {n} is far beyond exhaustive reach")
-    _check_order(n)
     for name in ("node_limit", "time_budget", "result_limit"):
         limit = getattr(options, name)
-        if limit is not None and not limit >= 0:  # also rejects a NaN budget
+        if limit is None:
+            continue
+        if name != "time_budget":
+            _check_int(limit, name)
+        if not limit >= 0:  # also rejects a NaN budget
             raise ValueError(f"{name} must be non-negative, got {limit}")
     stats = SearchStats()
     start = time.monotonic()
-    state = _State(n, options.require_jordan)
-    raw: list = []
-    _run(state, options, stats, raw, start)
-    raw.sort()
-    tables = [
-        build_magma(n, [cells[i * n:(i + 1) * n] for i in range(n)], "loop")
-        for cells in raw
-    ]
-    if options.nonassociative_only:
-        tables = [t for t in tables if not check(t, "associative")]
-    stats.models_found = len(tables)
     if options.up_to_iso:
-        tables = classify_up_to_iso(tables)
+        tables = sorted(_class_representatives(options, stats, start), key=lambda t: t.rows)
+    else:
+        raw: list = []
+        _run(_State(n, options.require_jordan), options, stats, raw, start)
+        tables = _materialise(n, raw, options.nonassociative_only)
+        stats.models_found = len(tables)
     stats.models_after_iso = len(tables)
     if options.result_limit is not None:
         tables = tables[: options.result_limit]

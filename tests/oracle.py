@@ -156,6 +156,30 @@ def least_isomorphism(lhs: MagmaTable, rhs: MagmaTable):
     return min(isos, key=lambda pi: [pi[g] for g in gens], default=None)
 
 
+def automorphism_count(table: MagmaTable) -> int:
+    """How many identity-fixing permutations map the table to itself."""
+    n = table.order
+    rows = table.rows
+    return sum(
+        all(pi[rows[x][y]] == rows[pi[x]][pi[y]] for x in range(n) for y in range(n))
+        for pi in _relabellings(n)
+    )
+
+
+def conjugacy_key(sq) -> tuple:
+    """The least conjugate p*sq*p^-1 of a map of 0..n-1 that fixes 0, over
+    every permutation p fixing 0; two such maps are conjugate exactly when
+    their keys are equal."""
+    best = None
+    for p in _relabellings(len(sq)):
+        image = [0] * len(sq)
+        for x, s in enumerate(sq):
+            image[p[x]] = p[s]
+        if best is None or image < best:
+            best = image
+    return tuple(best)
+
+
 def canonical_form(table: MagmaTable) -> tuple:
     """The least table rows over every identity-fixing relabelling; two loops
     are isomorphic exactly when their canonical forms are equal."""

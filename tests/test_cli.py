@@ -2,6 +2,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -143,6 +144,15 @@ class TestSearch:
         captured = capsys.readouterr()
         assert "node limit 5000 hit" in captured.err
         assert captured.out.startswith("# nodes=5001 ")
+
+    @pytest.mark.parametrize("limit", [["--node-limit", "5000"], ["--budget", "1"]])
+    def test_class_path_honours_limits(self, limit, capsys):
+        start = time.monotonic()
+        assert run(["search", "--order", "64", "--up-to-iso", *limit]) == 2
+        assert time.monotonic() - start < 5
+        captured = capsys.readouterr()
+        assert "hit before the order-64 space was exhausted" in captured.err
+        assert captured.out.startswith("# nodes=")
 
     def test_bad_order(self, capsys):
         assert run(["search", "--order", "0"]) == 2

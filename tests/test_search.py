@@ -11,6 +11,7 @@ from jordanloops.search import (
     PartialTable,
     SearchIncomplete,
     SearchOptions,
+    _squaring_classes,
     classify_up_to_iso,
     enumerate_loops,
     propagate,
@@ -23,7 +24,7 @@ from jordanloops.tables import (
     find_isomorphism,
     parse_tables,
 )
-from oracle import canonical_form, naive_commutative_loops, output_digest, relabel
+from oracle import canonical_form, conjugacy_key, naive_commutative_loops, output_digest, relabel
 
 ORDER8_CLASSES = parse_tables((Path(__file__).parent / "data" / "order8_classes.txt").read_text())
 
@@ -368,6 +369,93 @@ class TestEnumerate:
     def test_negative_limits_rejected(self, limit, value):
         with pytest.raises(ValueError, match=limit):
             enumerate_loops(SearchOptions(order=6, **{limit: value}))
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"order": "8"},
+            {"order": None},
+            {"order": 6, "result_limit": 2.5},
+            {"order": 6, "result_limit": True},
+            {"order": 6, "node_limit": True},
+            {"order": 6, "node_limit": 2.5},
+        ],
+    )
+    def test_non_int_arguments_rejected(self, fields):
+        with pytest.raises(ValidationError):
+            enumerate_loops(SearchOptions(**fields))
+
+
+class TestSquaringClasses:
+    def test_counts(self):
+        counts = [sum(1 for _ in _squaring_classes(n)) for n in range(1, 11)]
+        assert counts == [1, 1, 1, 2, 2, 5, 4, 15, 7, 46]
+
+    @staticmethod
+    def _admissible(sq):
+        """Could ``sq`` be the squaring map of a commutative loop?"""
+        n = len(sq)
+        if sq[0] != 0 or any(s == x for x, s in enumerate(sq) if x):
+            return False
+        if n & 1:
+            return sorted(sq) == list(range(n))
+        return all(sq.count(v) % 2 == 0 for v in range(n))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_one_map_per_conjugacy_class(self, n):
+        maps = list(_squaring_classes(n))
+        assert all(self._admissible(sq) for sq in maps)
+        classes = [conjugacy_key(sq) for sq in maps]
+        assert len(set(classes)) == len(classes)
+        every = {
+            conjugacy_key((0, *rest))
+            for rest in itertools.product(range(n), repeat=n - 1)
+            if self._admissible((0, *rest))
+        }
+        assert every == set(classes)
+
+
+class TestClassPath:
+    @pytest.mark.parametrize(
+        "order,require_jordan",
+        [(n, True) for n in range(1, 10)] + [(n, False) for n in range(1, 8)],
+    )
+    def test_matches_labelled_path(self, searched, order, require_jordan):
+        # associativity is an isomorphism invariant, so filtering the
+        # classes of all labelled models equals classifying the filtered ones;
+        # test_order8_classes_pinned checks that ORDER8_CLASSES is
+        # classify_up_to_iso of the labelled order-8 models
+        labelled, _ = searched(order, require_jordan)
+        reference = ORDER8_CLASSES if (order, require_jordan) == (8, True) else classify_up_to_iso(labelled)
+        for nonassociative_only in (False, True):
+            def kept(m):
+                return not (nonassociative_only and check(m, "associative"))
+
+            classes, stats = enumerate_loops(SearchOptions(
+                order=order, require_jordan=require_jordan,
+                nonassociative_only=nonassociative_only, up_to_iso=True,
+            ))
+            assert classes == [c for c in reference if kept(c)]
+            assert stats.models_found == sum(map(kept, labelled))
+            assert stats.models_after_iso == len(classes)
+
+    def test_order8_and_order9_pinned(self):
+        classes, stats = enumerate_loops(SearchOptions(order=8, up_to_iso=True))
+        assert classes == ORDER8_CLASSES
+        assert (stats.models_found, stats.models_after_iso) == (25980, 22)
+        classes, stats = enumerate_loops(SearchOptions(order=9, up_to_iso=True))
+        assert (stats.models_found, stats.models_after_iso) == (7560, 2)
+
+    def test_result_limit_cuts_sorted_classes(self):
+        full, _ = enumerate_loops(SearchOptions(order=8, up_to_iso=True))
+        cut, stats = enumerate_loops(SearchOptions(order=8, up_to_iso=True, result_limit=5))
+        assert cut == full[:5]
+        assert stats.models_after_iso == 22
+
+    def test_seeds_count_against_node_limit(self):
+        with pytest.raises(SearchIncomplete) as exc:
+            enumerate_loops(SearchOptions(order=8, up_to_iso=True, node_limit=10))
+        assert exc.value.stats.nodes == 11
 
 
 class TestClassification:

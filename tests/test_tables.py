@@ -13,8 +13,10 @@ from jordanloops.tables import (
     PROPERTY_TAGS,
     MagmaTable,
     ValidationError,
+    _least_form,
     build_magma,
     check,
+    classify_up_to_iso,
     cyclic_group,
     direct_product,
     find_counterexample,
@@ -28,7 +30,7 @@ from jordanloops.tables import (
     serialize_table,
     squaring_bijective,
 )
-from oracle import least_isomorphism, relabel
+from oracle import automorphism_count, canonical_form, least_isomorphism, relabel
 
 
 Z2 = [[0, 1], [1, 0]]
@@ -260,6 +262,24 @@ class TestIsomorphism:
             other = next(s for s in loops if s.order == n)
             for lhs, rhs in ((t, u), (u, t), (t, other)):
                 assert find_isomorphism(lhs, rhs) == least_isomorphism(lhs, rhs)
+
+
+class TestLeastForm:
+    def test_matches_canonical_form_oracle(self, searched):
+        # every commutative loop of order <= 6, the Jordan ones included
+        loops = [m for n in range(1, 7) for m in searched(n, False)[0]]
+        loops += classify_up_to_iso(searched(7)[0])
+        for t in loops:
+            rows, automorphisms = _least_form(t.rows)
+            assert rows == canonical_form(t), t.rows
+            assert automorphisms == automorphism_count(t), t.rows
+
+    @settings(max_examples=20)
+    @given(n=st.sampled_from([6, 7, 8, 10, 11, 12, 13, 14, 15, 16]), data=st.data())
+    def test_relabelling_invariant(self, n, data):
+        t = construct(n)
+        copy = relabel(t, [0] + data.draw(st.permutations(range(1, n))))
+        assert _least_form(copy.rows) == _least_form(t.rows)
 
 
 ROUND_TRIP_LOOPS = (
