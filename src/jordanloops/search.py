@@ -11,20 +11,24 @@ whose free cells cannot give every symbol an even count.
 The engine records each fact once: the trail of assignments doubles as the
 propagation queue, and the diagonal of the table as the squaring map.
 
-Without ``up_to_iso`` the search runs once from the blank table and lists
-every labelled model.  With it, the search runs once per conjugacy class of
-squaring maps, from a table seeded with that diagonal: an isomorphism of
-commutative loops conjugates the squaring map, so this meets every class
-(McKay, Meynert and Myrvold, "Small Latin squares, quasigroups and loops",
-J. Combin. Des. 15, 2007).  The completions of each squaring class are
-classified on their own, each class is listed by its least relabelling, and
-the labelled models are counted as the sum of (n-1)!/|Aut L|.
+The search runs once per conjugacy class of squaring maps, from a table
+seeded with that diagonal: an isomorphism of commutative loops conjugates
+the squaring map, so this meets every class (McKay, Meynert and Myrvold,
+"Small Latin squares, quasigroups and loops", J. Combin. Des. 15, 2007).
+The completions of each squaring class are classified on their own, each
+class is represented by its least relabelling, and the labelled models are
+counted as the sum of (n-1)!/|Aut L|.  With ``up_to_iso`` the
+representatives are the output; without it each is expanded into all its
+identity-fixing relabellings.  The engine can also run from the blank table
+over every labelling; the tests keep that as the slow reference.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from math import factorial
+from operator import itemgetter
 
 from .tables import (
     MagmaTable,
@@ -56,9 +60,11 @@ class SearchStats:
     """``nodes`` counts the states visited, the root and complete tables
     included; ``failures`` the candidates that assign or propagation refuted.
 
-    With ``up_to_iso`` both count the seeded trees: each seed is one node,
-    and a failure when propagation refutes it, and the tree searched from
-    it adds its own nodes and failures.  ``models_found`` is then the sum of
+    Both count the seeded trees of the squaring classes, with or without
+    ``up_to_iso``: each seed is one node, and a failure when propagation
+    refutes it, and the tree searched from it adds its own nodes and
+    failures.  At order 9 that is 1,728 nodes, against 224,743 for the
+    labelled tree from the blank table.  ``models_found`` is the sum of
     (n-1)!/|Aut L| over the classes found, the number of labelled models."""
 
     nodes: int = 0
@@ -545,13 +551,17 @@ def _exponent2_seeds(n: int, cells: list):
         yield PartialTable(n, tuple(cells))
 
 
-def _materialise(n: int, raw: list, nonassociative_only: bool) -> list[MagmaTable]:
+def _materialise(n: int, raw: list, nonassociative_only: bool, tick) -> list[MagmaTable]:
     """The completions in ``raw`` as loops, least first, without the
-    associative ones if asked."""
+    associative ones if asked; ``tick`` is called every 256 completions."""
     raw.sort()
-    tables = [build_magma(n, [cells[i * n:(i + 1) * n] for i in range(n)], "loop") for cells in raw]
-    if nonassociative_only:
-        tables = [t for t in tables if not check(t, "associative")]
+    tables = []
+    for k, cells in enumerate(raw, 1):
+        table = build_magma(n, [cells[i * n:(i + 1) * n] for i in range(n)], "loop")
+        if not (nonassociative_only and check(table, "associative")):
+            tables.append(table)
+        if not k & 255:
+            tick()
     return tables
 
 
@@ -560,6 +570,7 @@ def _class_representatives(options: SearchOptions, stats: SearchStats, start: fl
     at a time: loops in different squaring classes are never isomorphic."""
     n = options.order
     labellings = factorial(n - 1)
+    tick = partial(_check_limits, options, stats, start, n)
     reps = []
     for seeds in _class_seeds(n):
         raw: list = []
@@ -571,19 +582,52 @@ def _class_representatives(options: SearchOptions, stats: SearchStats, start: fl
                 stats.failures += 1
             else:
                 _run(state, options, stats, raw, start)
-        for table in classify_up_to_iso(_materialise(n, raw, options.nonassociative_only)):
+        tables = _materialise(n, raw, options.nonassociative_only, tick)
+        for table in classify_up_to_iso(tables, tick):
             rows, automorphisms = _least_form(table.rows)
             stats.models_found += labellings // automorphisms
             reps.append(build_magma(n, rows, "loop"))
     return reps
 
 
+def _orbit(rows, tick=lambda: None) -> set:
+    """Every identity-fixing relabelling of the loop ``rows``, as flat cell
+    tuples: the closure of the table under the transposition (1 2) and the
+    cycle (1 2 ... n-1), which generate S_(n-1).  ``tick`` is called every
+    256 tables."""
+    n = len(rows)
+    seen = {tuple(v for row in rows for v in row)}
+    if n < 3:
+        return seen
+    swap = [0, 2, 1, *range(3, n)]
+    cycle = [0, *range(2, n), 1]
+    back = [0, n - 1, *range(1, n - 1)]
+    # relabelling by p writes p[x*y] into cell (p[x], p[y]), so cell (a, b)
+    # reads cell (p^-1[a], p^-1[b])
+    moves = [
+        (itemgetter(*[q[a] * n + q[b] for a in range(n) for b in range(n)]), p.__getitem__)
+        for p, q in ((swap, swap), (cycle, back))
+    ]
+    todo = list(seen)
+    while todo:
+        cells = todo.pop()
+        for read, label in moves:
+            image = tuple(map(label, read(cells)))
+            if image not in seen:
+                seen.add(image)
+                todo.append(image)
+                if not len(seen) & 255:
+                    tick()
+    return seen
+
+
 def enumerate_loops(options: SearchOptions) -> tuple[list[MagmaTable], SearchStats]:
     """All commutative loops of the given order meeting the requested
     filters, lexicographically least table first, plus search statistics.
 
-    With ``up_to_iso`` each class is listed by its least table, and the
-    search runs once per squaring class instead of over every labelling."""
+    The search runs once per squaring class.  With ``up_to_iso`` each
+    isomorphism class is listed by its least table; without it, by all its
+    identity-fixing relabellings."""
     n = options.order
     _check_order(n)
     if n > 64:
@@ -598,13 +642,15 @@ def enumerate_loops(options: SearchOptions) -> tuple[list[MagmaTable], SearchSta
             raise ValueError(f"{name} must be non-negative, got {limit}")
     stats = SearchStats()
     start = time.monotonic()
+    reps = _class_representatives(options, stats, start)
     if options.up_to_iso:
-        tables = sorted(_class_representatives(options, stats, start), key=lambda t: t.rows)
+        tables = sorted(reps, key=lambda t: t.rows)
     else:
-        raw: list = []
-        _run(_State(n, options.require_jordan), options, stats, raw, start)
-        tables = _materialise(n, raw, options.nonassociative_only)
-        stats.models_found = len(tables)
+        # each relabelling of a loop fixing 0 is again a loop, so the
+        # copies are frozen without build_magma's checks
+        tick = partial(_check_limits, options, stats, start, n)
+        raw = sorted(cells for rep in reps for cells in _orbit(rep.rows, tick))
+        tables = [MagmaTable(n, [cells[i * n:(i + 1) * n] for i in range(n)], "loop") for cells in raw]
     stats.models_after_iso = len(tables)
     if options.result_limit is not None:
         tables = tables[: options.result_limit]

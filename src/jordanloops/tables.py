@@ -510,9 +510,12 @@ def _least_form(rows):
     return best, count
 
 
-def classify_up_to_iso(models) -> list[MagmaTable]:
+def classify_up_to_iso(models, progress=None) -> list[MagmaTable]:
     """One representative per isomorphism class: its lexicographically least
-    member, representatives sorted the same way."""
+    member, representatives sorted the same way.
+
+    ``progress``, when given, is called after every 256 models; an exception
+    it raises stops the classification."""
     models = sorted(models, key=lambda m: m.rows)
     orders = {m.order for m in models}
     if len(orders) > 1:
@@ -521,13 +524,15 @@ def classify_up_to_iso(models) -> list[MagmaTable]:
         _require_loop(m, "classify_up_to_iso")
     buckets: dict = {}
     reps: list = []
-    for m in models:
+    for k, m in enumerate(models, 1):
         rows = m.rows
         keys = _element_keys(rows)
         bucket = buckets.setdefault(tuple(sorted(keys)), [])
         if all(_match(rows, keys, r, r_keys) is None for r, r_keys in bucket):
             bucket.append((rows, keys))
             reps.append(m)
+        if progress is not None and not k & 255:
+            progress()
     return reps
 
 

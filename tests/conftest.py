@@ -11,21 +11,20 @@ sys.path.insert(0, str(Path(__file__).parent))
 settings.register_profile("jordanloops", deadline=None, print_blob=True)
 settings.load_profile("jordanloops")
 
-from jordanloops.search import SearchOptions, enumerate_loops
+from oracle import labelled_reference
 
 _SEARCH_CACHE: dict = {}
 
 
 @pytest.fixture(scope="session")
 def searched():
-    """Cached exhaustive enumeration, so expensive orders run once per session."""
+    """Cached ``labelled_reference``, the labelled search from the blank
+    table, so expensive orders run once per session."""
 
     def run(order: int, require_jordan: bool = True):
         key = (order, require_jordan)
         if key not in _SEARCH_CACHE:
-            _SEARCH_CACHE[key] = enumerate_loops(
-                SearchOptions(order=order, require_jordan=require_jordan)
-            )
+            _SEARCH_CACHE[key] = labelled_reference(order, require_jordan)
         return _SEARCH_CACHE[key]
 
     return run

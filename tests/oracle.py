@@ -1,14 +1,17 @@
 """Slow reference implementations used to cross-check the fast engines.
 
 Everything here favours obviousness over speed: plain generate-and-test
-with only Latin-feasibility pruning, in a fixed cell order.  The output
-digest pins whole lists of tables.
+with only Latin-feasibility pruning, in a fixed cell order.  The one
+exception is ``labelled_reference``, the search engine walking the whole
+labelled tree.  The output digest pins whole lists of tables.
 """
 from __future__ import annotations
 
 import hashlib
 import itertools
+import time
 
+from jordanloops.search import SearchOptions, SearchStats, _run, _State
 from jordanloops.structure import conjugation, inner_left, inner_right
 from jordanloops.tables import MagmaTable, build_magma, check
 
@@ -54,6 +57,22 @@ def naive_commutative_loops(n: int, require_jordan: bool) -> list[MagmaTable]:
     triangle; leaves are filtered with the public property checks."""
     tables = [build_magma(n, rows, "loop") for rows in _symmetric_fills(n, True)]
     return [t for t in tables if not require_jordan or check(t, "jordan")]
+
+
+def labelled_reference(order: int, require_jordan: bool):
+    """Every labelled commutative loop of the order, as ``enumerate_loops``
+    lists them, by one search from the blank table over every labelling
+    instead of an expansion of the class representatives.  Returns
+    (tables, stats); the stats describe that labelled tree."""
+    stats = SearchStats()
+    raw: list = []
+    start = time.monotonic()
+    _run(_State(order, require_jordan), SearchOptions(order, require_jordan), stats, raw, start)
+    raw.sort()
+    tables = [build_magma(order, [c[i * order:(i + 1) * order] for i in range(order)], "loop") for c in raw]
+    stats.models_found = stats.models_after_iso = len(tables)
+    stats.seconds = time.monotonic() - start
+    return tables, stats
 
 
 def symmetric_latin_squares(n: int) -> list[MagmaTable]:

@@ -34,7 +34,7 @@ from jordanloops.powers import (
     right_power,
     generated_subloop,
 )
-from jordanloops.search import SearchIncomplete, classify_up_to_iso
+from jordanloops.search import SearchIncomplete, SearchOptions, classify_up_to_iso, enumerate_loops
 from jordanloops.structure import is_simple
 from jordanloops.tables import (
     ValidationError,
@@ -122,11 +122,11 @@ def test_acceptance_2_golden_tables_are_bit_exact():
     _verdict("golden tables reproduced bit-exact", failures)
 
 
-def test_acceptance_3_exhaustive_enumeration_matches_theory(searched):
+def test_acceptance_3_exhaustive_enumeration_matches_theory():
     failures = []
 
     def classes(order):
-        models, stats = searched(order)
+        models, stats = enumerate_loops(SearchOptions(order=order))
         return models, classify_up_to_iso(models), stats
 
     try:

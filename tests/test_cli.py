@@ -1,4 +1,5 @@
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -139,7 +140,9 @@ class TestSearch:
         assert "# nodes=" in captured.out  # partial stats still reported
 
     def test_node_limit_deeper_than_recursion_limit(self, capsys):
-        # without the Jordan rules the search stacks ~1,900 frames by then
+        # the labelled listing searches from the first squaring class's
+        # seeded diagonal; without the Jordan rules that tree stacks ~1,800
+        # frames by then
         assert run(["search", "--order", "64", "--no-jordan", "--node-limit", "5000"]) == 2
         captured = capsys.readouterr()
         assert "node limit 5000 hit" in captured.err
@@ -153,6 +156,15 @@ class TestSearch:
         captured = capsys.readouterr()
         assert "hit before the order-64 space was exhausted" in captured.err
         assert captured.out.startswith("# nodes=")
+
+    @pytest.mark.parametrize("iso", [[], ["--up-to-iso"]])
+    def test_budget_holds_at_order_10(self, iso, capsys):
+        # some order-10 squaring classes take seconds to materialise and
+        # classify, so the budget is checked there too, not only per node
+        assert run(["search", "--order", "10", *iso, "--budget", "3"]) == 2
+        captured = capsys.readouterr()
+        assert "time budget 3.0s hit" in captured.err
+        assert float(re.search(r"seconds=([\d.]+)", captured.out).group(1)) <= 3.5
 
     def test_bad_order(self, capsys):
         assert run(["search", "--order", "0"]) == 2

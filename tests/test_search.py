@@ -1,5 +1,8 @@
 import itertools
 import random
+import time
+from functools import lru_cache
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -11,13 +14,18 @@ from jordanloops.search import (
     PartialTable,
     SearchIncomplete,
     SearchOptions,
+    SearchStats,
+    _orbit,
+    _run,
     _squaring_classes,
+    _State,
     classify_up_to_iso,
     enumerate_loops,
     propagate,
 )
 from jordanloops.tables import (
     ValidationError,
+    _least_form,
     build_magma,
     check,
     cyclic_group,
@@ -28,9 +36,10 @@ from oracle import canonical_form, conjugacy_key, naive_commutative_loops, outpu
 
 ORDER8_CLASSES = parse_tables((Path(__file__).parent / "data" / "order8_classes.txt").read_text())
 
-# (nodes, failures, models_found) of the labelled search, keyed by
-# (order, require_jordan).  Any engine change that alters a search tree,
-# even one that finds the same models, changes one of these.
+# (nodes, failures, models_found) of the labelled search from the blank
+# table (oracle.labelled_reference), keyed by (order, require_jordan).  Any
+# engine change that alters a search tree, even one that finds the same
+# models, changes one of these.
 TREE_SHAPES = {
     (1, True): (1, 0, 1),
     (2, True): (2, 0, 1),
@@ -50,8 +59,9 @@ TREE_SHAPES = {
     (7, False): (62517, 1742, 6240),
 }
 
-# sha256 of the labelled Jordan search output, so a change of branching
-# order that moves TREE_SHAPES is seen to keep the same models.
+# sha256 of the labelled Jordan models, so a change of branching order that
+# moves TREE_SHAPES is seen to keep the same models; both the reference
+# search and the public listing must give them.
 OUTPUT_DIGESTS = {
     7: "eb8f0739c9636cc4e61bffc2049627c59f0372d650713e4b636d1e4179bf07dc",
     8: "8e1d2174090b5231702bab6b50805ec0723b8f6be0ac78931429c497c4fb25cd",
@@ -300,6 +310,16 @@ def test_search_output_digest(searched, order):
     assert output_digest(models) == OUTPUT_DIGESTS[order]
 
 
+def test_labelled_engine_deeper_than_recursion_limit():
+    # without the Jordan rules the blank order-64 search stacks ~1,900
+    # frames by then
+    options = SearchOptions(order=64, require_jordan=False, node_limit=5000)
+    stats = SearchStats()
+    with pytest.raises(SearchIncomplete, match="node limit 5000 hit"):
+        _run(_State(64, False), options, stats, [], time.monotonic())
+    assert stats.nodes == 5001
+
+
 class TestEnumerate:
     def test_matches_naive_oracle(self):
         for n in (3, 4, 5, 6, 7):
@@ -458,6 +478,68 @@ class TestClassPath:
         assert exc.value.stats.nodes == 11
 
 
+ORDERS = [(n, True) for n in range(1, 10)] + [(n, False) for n in range(1, 8)]
+
+
+@lru_cache(maxsize=None)
+def listed(order: int, require_jordan: bool, nonassociative_only: bool):
+    """The public labelled listing, cached for the tests below."""
+    return enumerate_loops(SearchOptions(
+        order=order, require_jordan=require_jordan, nonassociative_only=nonassociative_only,
+    ))
+
+
+@lru_cache(maxsize=None)
+def classes_of(order: int, require_jordan: bool):
+    return enumerate_loops(SearchOptions(order=order, require_jordan=require_jordan, up_to_iso=True))[0]
+
+
+class TestLabelledListing:
+    """The public labelled listing expands the class representatives; the
+    labelled search from the blank table is its slow reference."""
+
+    @pytest.mark.parametrize("order,require_jordan", ORDERS)
+    def test_matches_labelled_reference(self, searched, order, require_jordan):
+        reference, _ = searched(order, require_jordan)
+        for nonassociative_only in (False, True):
+            expected = [m for m in reference if not (nonassociative_only and check(m, "associative"))]
+            tables, stats = listed(order, require_jordan, nonassociative_only)
+            assert tables == expected
+            assert stats.models_found == stats.models_after_iso == len(expected)
+
+    @pytest.mark.parametrize("order", sorted(OUTPUT_DIGESTS))
+    def test_output_digest(self, order):
+        assert output_digest(listed(order, True, False)[0]) == OUTPUT_DIGESTS[order]
+
+    @pytest.mark.parametrize("order", range(1, 10))
+    def test_output_passes_build_magma(self, order):
+        # the relabelled copies are frozen unchecked; this is the check
+        for table in listed(order, True, False)[0]:
+            assert build_magma(order, table.rows, "loop") == table
+
+    @pytest.mark.parametrize("order,require_jordan", ORDERS)
+    def test_orbit_size_is_labellings_over_automorphisms(self, order, require_jordan):
+        for rep in classes_of(order, require_jordan):
+            orbit = _orbit(rep.rows)
+            assert len(orbit) == factorial(order - 1) // _least_form(rep.rows)[1]
+            assert tuple(v for row in rep.rows for v in row) in orbit
+
+    def test_orbit_reports_progress_every_256_tables(self):
+        z9 = next(c for c in classes_of(9, True) if find_isomorphism(c, cyclic_group(9)) is not None)
+        calls = []
+        assert len(_orbit(z9.rows, lambda: calls.append(1))) == 6720
+        assert len(calls) == 6720 // 256
+
+
+@settings(max_examples=30)
+@given(data=st.data())
+def test_orbit_is_relabelling_invariant(data):
+    order = data.draw(st.integers(3, 9))
+    rep = data.draw(st.sampled_from(classes_of(order, True)))
+    perm = [0] + data.draw(st.permutations(range(1, order)))
+    assert _orbit(relabel(rep, perm).rows) == _orbit(rep.rows)
+
+
 class TestClassification:
     def test_relabelings_collapse_to_one_class(self):
         rng = random.Random(42)
@@ -497,6 +579,12 @@ class TestClassification:
         shuffled = list(models)
         random.Random(8).shuffle(shuffled)
         assert classify_up_to_iso(shuffled) == ORDER8_CLASSES
+
+    def test_reports_progress_every_256_models(self, searched):
+        models = searched(6, False)[0] + searched(6)[0]
+        calls = []
+        assert classify_up_to_iso(models, lambda: calls.append(1)) == classify_up_to_iso(models)
+        assert len(calls) == len(models) // 256 == 2
 
     def test_representatives_sorted(self, searched):
         models, _ = searched(6)
