@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 
 from . import constructions, powers, structure
@@ -17,6 +18,7 @@ from .tables import (
     PROPERTY_TAGS,
     MagmaTable,
     ValidationError,
+    _table_lines,
     find_counterexample,
     find_isomorphism,
     parse_tables,
@@ -42,13 +44,13 @@ def _read_tables(path: str) -> list[MagmaTable]:
     return tables
 
 
-def _emit(text: str, out_path: str | None):
+def _emit(chunks, out_path: str | None):
     if out_path is None or out_path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise ValueError(f"cannot write {out_path}: {exc}") from exc
 
@@ -66,7 +68,7 @@ def _each_table(path: str, report) -> int:
 
 
 def _cmd_construct(args) -> int:
-    _emit(serialize_table(constructions.construct(args.order)), args.out)
+    _emit(_table_lines(constructions.construct(args.order)), args.out)
     return 0
 
 
@@ -103,12 +105,11 @@ def _cmd_search(args) -> int:
             f"seconds={exc.stats.seconds:.3f}"
         )
         raise ValueError(str(exc)) from exc
-    out = [serialize_table(t) for t in models]
-    out.append(
+    footer = (
         f"# nodes={stats.nodes} failures={stats.failures} models={stats.models_found} "
         f"classes={stats.models_after_iso} seconds={stats.seconds:.3f}\n"
     )
-    _emit("\n".join(out), args.out)
+    _emit(itertools.chain((serialize_table(t) + "\n" for t in models), [footer]), args.out)
     return 0
 
 
@@ -168,15 +169,14 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_tower(args) -> int:
-    _emit(serialize_table(constructions.jordan_tower(args.depth)), args.out)
+    _emit(_table_lines(constructions.jordan_tower(args.depth)), args.out)
     return 0
 
 
 def _cmd_gap_loop(args) -> int:
     table, element = powers.powers_gap_loop(args.m, args.n)
-    text = serialize_table(table)
-    text += f"# element {element}: powers well-defined below {args.m * args.n}\n"
-    _emit(text, args.out)
+    note = f"# element {element}: powers well-defined below {args.m * args.n}\n"
+    _emit(itertools.chain(_table_lines(table), [note]), args.out)
     return 0
 
 

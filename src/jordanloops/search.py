@@ -591,12 +591,12 @@ def _class_representatives(options: SearchOptions, stats: SearchStats, start: fl
 
 
 def _orbit(rows, tick=lambda: None) -> set:
-    """Every identity-fixing relabelling of the loop ``rows``, as flat cell
-    tuples: the closure of the table under the transposition (1 2) and the
-    cycle (1 2 ... n-1), which generate S_(n-1).  ``tick`` is called every
-    256 tables."""
+    """Every identity-fixing relabelling of the loop ``rows``, as the bytes
+    of its n*n cells (n <= 64): the closure of the table under the
+    transposition (1 2) and the cycle (1 2 ... n-1), which generate S_(n-1).
+    ``tick`` is called every 256 tables."""
     n = len(rows)
-    seen = {tuple(v for row in rows for v in row)}
+    seen = {bytes(v for row in rows for v in row)}
     if n < 3:
         return seen
     swap = [0, 2, 1, *range(3, n)]
@@ -605,14 +605,14 @@ def _orbit(rows, tick=lambda: None) -> set:
     # relabelling by p writes p[x*y] into cell (p[x], p[y]), so cell (a, b)
     # reads cell (p^-1[a], p^-1[b])
     moves = [
-        (itemgetter(*[q[a] * n + q[b] for a in range(n) for b in range(n)]), p.__getitem__)
+        (itemgetter(*[q[a] * n + q[b] for a in range(n) for b in range(n)]), bytes(p).ljust(256))
         for p, q in ((swap, swap), (cycle, back))
     ]
     todo = list(seen)
     while todo:
         cells = todo.pop()
         for read, label in moves:
-            image = tuple(map(label, read(cells)))
+            image = bytes(read(cells)).translate(label)
             if image not in seen:
                 seen.add(image)
                 todo.append(image)
@@ -650,7 +650,8 @@ def enumerate_loops(options: SearchOptions) -> tuple[list[MagmaTable], SearchSta
         # copies are frozen without build_magma's checks
         tick = partial(_check_limits, options, stats, start, n)
         raw = sorted(cells for rep in reps for cells in _orbit(rep.rows, tick))
-        tables = [MagmaTable(n, [cells[i * n:(i + 1) * n] for i in range(n)], "loop") for cells in raw]
+        lines = [slice(i * n, i * n + n) for i in range(n)]
+        tables = [MagmaTable(n, map(cells.__getitem__, lines), "loop") for cells in raw]
     stats.models_after_iso = len(tables)
     if options.result_limit is not None:
         tables = tables[: options.result_limit]

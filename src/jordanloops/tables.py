@@ -26,9 +26,9 @@ PROPERTY_TAGS = (
 KINDS = ("magma", "quasigroup", "loop")
 
 # Rows are tuples of Python ints, so memory grows with the square of the
-# order: `construct --order 4095` peaks at 899 MB RSS and
-# `tower --depth 11` at 786 MB on CPython 3.11 (README, Limits), and
-# twice the order would not fit in a 4 GB address space.
+# order.  The built table sets the peak RSS, as the CLI streams its output:
+# 899 MB for `construct --order 4095` and 787 MB for `tower --depth 11` on
+# CPython 3.11 (README, Limits); twice the order would not fit in 4 GB.
 ORDER_LIMIT = 1 << 12
 
 
@@ -43,7 +43,7 @@ class MagmaTable:
 
     def __init__(self, order: int, rows, kind: str):
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in rows))
+        object.__setattr__(self, "rows", tuple(map(tuple, rows)))
         object.__setattr__(self, "kind", kind)
 
     def __setattr__(self, name, value):
@@ -65,20 +65,16 @@ class MagmaTable:
 
 
 def _latin_violation(rows, n):
-    """First duplicated symbol, columns scanned before rows."""
-    for j in range(n):
-        seen = set()
-        for i in range(n):
-            v = rows[i][j]
-            if v in seen:
-                return f"column {j} repeats symbol {v}"
-            seen.add(v)
-    for i in range(n):
-        seen = set()
-        for v in rows[i]:
-            if v in seen:
-                return f"row {i} repeats symbol {v}"
-            seen.add(v)
+    """First duplicated symbol, columns scanned before rows.  A line is
+    walked cell by cell only once a set shows it repeats a symbol."""
+    for what, lines in (("column", zip(*rows)), ("row", rows)):
+        for i, line in enumerate(lines):
+            if len(set(line)) != n:
+                seen = set()
+                for v in line:
+                    if v in seen:
+                        return f"{what} {i} repeats symbol {v}"
+                    seen.add(v)
     return None
 
 
@@ -87,6 +83,7 @@ def build_magma(order: int, rows, kind: str = "magma") -> MagmaTable:
 
     kind "magma" asks for shape only; "quasigroup" adds the Latin property;
     "loop" additionally requires element 0 to be a two-sided identity.
+    A row or column is walked cell by cell only if a whole-line check fails.
     """
     if kind not in KINDS:
         raise ValidationError(f"unknown kind {kind!r}")
@@ -98,9 +95,10 @@ def build_magma(order: int, rows, kind: str = "magma") -> MagmaTable:
     for i, row in enumerate(rows):
         if len(row) != order:
             raise ValidationError(f"row {i} has {len(row)} entries, expected {order}")
-        for j, v in enumerate(row):
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < order:
-                raise ValidationError(f"cell ({i},{j}) value {v!r} out of range 0..{order - 1}")
+        if set(map(type, row)) != {int} or min(row) < 0 or max(row) >= order:
+            for j, v in enumerate(row):
+                if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < order:
+                    raise ValidationError(f"cell ({i},{j}) value {v!r} out of range 0..{order - 1}")
     if kind != "magma":
         bad = _latin_violation(rows, order)
         if bad is not None:
@@ -231,6 +229,7 @@ def _check_order(n: int):
 
 def _check_element(table: MagmaTable, *elements: int):
     for c in elements:
+        _check_int(c, "element")
         if not 0 <= c < table.order:
             raise ValueError(f"element {c} out of range 0..{table.order - 1}")
 
@@ -538,12 +537,18 @@ def classify_up_to_iso(models, progress=None) -> list[MagmaTable]:
 
 # -- text wire format ----------------------------------------------------
 
+def _table_lines(table: MagmaTable):
+    """The wire format, one newline-terminated line at a time: the two
+    header lines together, then each row, its labels formatted once."""
+    label = list(map(str, range(table.order))).__getitem__
+    yield f"order {table.order}\nkind {table.kind}\n"
+    for row in table.rows:
+        yield " ".join(map(label, row)) + "\n"
+
+
 def serialize_table(table: MagmaTable) -> str:
-    """Render as the plain-text wire format (header lines, then the rows)."""
-    lines = [f"order {table.order}", f"kind {table.kind}"]
-    lines.extend(" ".join(str(v) for v in row) for row in table.rows)
-    lines.append("")  # the trailing newline, without copying the whole text
-    return "\n".join(lines)
+    """Render as the plain-text wire format: the lines of ``_table_lines``."""
+    return "".join(_table_lines(table))
 
 
 def _parse_chunk(lines) -> MagmaTable:
@@ -565,7 +570,7 @@ def _parse_chunk(lines) -> MagmaTable:
     rows = []
     for line in body:
         try:
-            rows.append([int(tok) for tok in line.split()])
+            rows.append(tuple(map(int, line.split())))
         except ValueError:
             raise ValidationError(f"bad table row {line!r}") from None
     return build_magma(order, rows, kind_line[1])

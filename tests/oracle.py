@@ -13,7 +13,7 @@ import time
 
 from jordanloops.search import SearchOptions, SearchStats, _run, _State
 from jordanloops.structure import conjugation, inner_left, inner_right
-from jordanloops.tables import MagmaTable, build_magma, check
+from jordanloops.tables import KINDS, MagmaTable, ValidationError, _check_order, build_magma, check
 
 
 def _symmetric_fills(n: int, identity_border: bool) -> list:
@@ -73,6 +73,62 @@ def labelled_reference(order: int, require_jordan: bool):
     stats.models_found = stats.models_after_iso = len(tables)
     stats.seconds = time.monotonic() - start
     return tables, stats
+
+
+def latin_violation_reference(rows, n):
+    """First duplicated symbol, columns scanned before rows, cell by cell:
+    the scan ``tables._latin_violation`` makes only inside a failing line."""
+    for j in range(n):
+        seen = set()
+        for i in range(n):
+            v = rows[i][j]
+            if v in seen:
+                return f"column {j} repeats symbol {v}"
+            seen.add(v)
+    for i in range(n):
+        seen = set()
+        for v in rows[i]:
+            if v in seen:
+                return f"row {i} repeats symbol {v}"
+            seen.add(v)
+    return None
+
+
+def build_magma_reference(order: int, rows, kind: str = "magma") -> MagmaTable:
+    """``tables.build_magma`` checking every cell on its own, in the order
+    that fixes which ``ValidationError`` message is raised."""
+    if kind not in KINDS:
+        raise ValidationError(f"unknown kind {kind!r}")
+    _check_order(order)
+    table = MagmaTable(order, rows, kind)
+    rows = table.rows
+    if len(rows) != order:
+        raise ValidationError(f"expected {order} rows, got {len(rows)}")
+    for i, row in enumerate(rows):
+        if len(row) != order:
+            raise ValidationError(f"row {i} has {len(row)} entries, expected {order}")
+        for j, v in enumerate(row):
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < order:
+                raise ValidationError(f"cell ({i},{j}) value {v!r} out of range 0..{order - 1}")
+    if kind != "magma":
+        bad = latin_violation_reference(rows, order)
+        if bad is not None:
+            raise ValidationError(bad)
+    if kind == "loop":
+        for x in range(order):
+            if rows[0][x] != x:
+                raise ValidationError(f"element 0 is not a left identity: 0*{x} = {rows[0][x]}")
+            if rows[x][0] != x:
+                raise ValidationError(f"element 0 is not a right identity: {x}*0 = {rows[x][0]}")
+    return table
+
+
+def serialize_reference(table: MagmaTable) -> str:
+    """The wire format, one ``str`` call per cell."""
+    lines = [f"order {table.order}", f"kind {table.kind}"]
+    lines.extend(" ".join(str(v) for v in row) for row in table.rows)
+    lines.append("")
+    return "\n".join(lines)
 
 
 def symmetric_latin_squares(n: int) -> list[MagmaTable]:

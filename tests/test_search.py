@@ -522,7 +522,7 @@ class TestLabelledListing:
         for rep in classes_of(order, require_jordan):
             orbit = _orbit(rep.rows)
             assert len(orbit) == factorial(order - 1) // _least_form(rep.rows)[1]
-            assert tuple(v for row in rep.rows for v in row) in orbit
+            assert bytes(v for row in rep.rows for v in row) in orbit
 
     def test_orbit_reports_progress_every_256_tables(self):
         z9 = next(c for c in classes_of(9, True) if find_isomorphism(c, cyclic_group(9)) is not None)

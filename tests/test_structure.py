@@ -7,7 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jordanloops.constructions import construct, even_jordan, hyper_extend, jordan_tower
-from jordanloops.powers import generated_subloop
+from jordanloops.powers import (
+    element_order,
+    generated_subloop,
+    is_well_defined,
+    parenthesization_set,
+    power_profile,
+    right_power,
+)
 from jordanloops.search import classify_up_to_iso
 from jordanloops.structure import (
     conjugation,
@@ -22,6 +29,7 @@ from jordanloops.structure import (
 )
 from jordanloops.tables import (
     PROPERTY_TAGS,
+    ValidationError,
     _element_keys,
     build_magma,
     check,
@@ -82,6 +90,13 @@ ELEMENT_CALLS = {
     "inner_right y": lambda x: inner_right(Z6, 1, x),
     "conjugation": lambda x: conjugation(Z6, x),
     "is_normal": lambda x: is_normal(Z6, [0, x]),
+    "normal_closure": lambda x: normal_closure(Z6, (x,)),
+    "generated_subloop": lambda x: generated_subloop(Z6, (x,)),
+    "right_power": lambda x: right_power(Z6, x, 2),
+    "power_profile": lambda x: power_profile(Z6, x, 3),
+    "parenthesization_set": lambda x: parenthesization_set(Z6, x, 3),
+    "is_well_defined": lambda x: is_well_defined(Z6, x, 3),
+    "element_order": lambda x: element_order(Z6, x),
 }
 
 
@@ -89,6 +104,14 @@ ELEMENT_CALLS = {
 @pytest.mark.parametrize("name", sorted(ELEMENT_CALLS))
 def test_element_out_of_range_is_value_error(name, bad):
     with pytest.raises(ValueError, match="out of range"):
+        ELEMENT_CALLS[name](bad)
+
+
+@pytest.mark.parametrize("bad", [1.0, 1.5, True], ids=repr)
+@pytest.mark.parametrize("name", sorted(ELEMENT_CALLS))
+def test_non_int_element_is_validation_error(name, bad):
+    # a float would reach an index as a TypeError; True would pass as 1
+    with pytest.raises(ValidationError, match="element must be an int"):
         ELEMENT_CALLS[name](bad)
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from enum import IntEnum
 from pathlib import Path
 
 import pytest
@@ -30,7 +31,14 @@ from jordanloops.tables import (
     serialize_table,
     squaring_bijective,
 )
-from oracle import automorphism_count, canonical_form, least_isomorphism, relabel
+from oracle import (
+    automorphism_count,
+    build_magma_reference,
+    canonical_form,
+    least_isomorphism,
+    relabel,
+    serialize_reference,
+)
 
 
 Z2 = [[0, 1], [1, 0]]
@@ -280,6 +288,71 @@ class TestLeastForm:
         t = construct(n)
         copy = relabel(t, [0] + data.draw(st.permutations(range(1, n))))
         assert _least_form(copy.rows) == _least_form(t.rows)
+
+
+Cell = IntEnum("Cell", [(f"C{v}", v) for v in range(12)])
+
+
+class SubInt(int):
+    pass
+
+
+@st.composite
+def corrupted_tables(draw):
+    """A Latin square of order 1..12 (an identity-fixing relabelling of Z_n
+    or a relabelling of its rows, columns and symbols), with up to three
+    cells overwritten: out of range, negative, True, 2.0, an IntEnum
+    member of the same value (still valid), or a copy of another cell of
+    its row or column."""
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        p = [0] + draw(st.permutations(range(1, n)))
+        r = c = s = p
+    else:
+        r, c, s = (draw(st.permutations(range(n))) for _ in range(3))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            rows[r[i]][c[j]] = s[(i + j) % n]
+    square = [row[:] for row in rows]
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        how = draw(st.sampled_from(["high", "negative", "bool", "float", "enum", "row", "column"]))
+        if how == "row":
+            rows[i][j] = rows[i][draw(st.integers(0, n - 1))]
+        elif how == "column":
+            rows[i][j] = rows[draw(st.integers(0, n - 1))][j]
+        else:
+            rows[i][j] = {"high": n + draw(st.integers(0, 3)), "negative": -draw(st.integers(1, 3)),
+                          "bool": True, "float": 2.0, "enum": Cell(square[i][j])}[how]
+    return n, rows
+
+
+def outcome(build, n, rows, kind):
+    try:
+        return build(n, rows, kind).rows
+    except ValidationError as exc:
+        return str(exc)
+
+
+class TestLineLevelChecks:
+    @settings(max_examples=300)
+    @given(corrupted_tables())
+    def test_build_magma_matches_cell_by_cell_reference(self, case):
+        n, rows = case
+        for kind in KINDS:
+            assert outcome(build_magma, n, rows, kind) == outcome(build_magma_reference, n, rows, kind)
+
+    @settings(max_examples=60)
+    @given(st.integers(1, 64), st.sampled_from(KINDS), st.randoms(use_true_random=False))
+    def test_serialize_matches_per_cell_formatter(self, n, kind, rnd):
+        """A random magma or Z_n, some of its cells an int subclass."""
+        rows = [[rnd.choice((int, SubInt))(rnd.randrange(n) if kind == "magma" else (i + j) % n)
+                 for j in range(n)] for i in range(n)]
+        table = build_magma(n, rows, kind)
+        text = serialize_table(table)
+        assert text == serialize_reference(table)
+        assert parse_tables(text) == [table]
 
 
 ROUND_TRIP_LOOPS = (
