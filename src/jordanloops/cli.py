@@ -13,11 +13,12 @@ import itertools
 import sys
 
 from . import constructions, powers, structure
-from .search import SearchIncomplete, SearchOptions, enumerate_loops
+from .search import SearchIncomplete, SearchOptions, _labelled, enumerate_loops
 from .tables import (
     PROPERTY_TAGS,
     MagmaTable,
     ValidationError,
+    _cells_text,
     _table_lines,
     find_counterexample,
     find_isomorphism,
@@ -98,7 +99,12 @@ def _cmd_search(args) -> int:
         result_limit=args.limit,
     )
     try:
-        models, stats = enumerate_loops(options)
+        if options.up_to_iso:
+            models, stats = enumerate_loops(options)
+            texts = (serialize_table(t) + "\n" for t in models)
+        else:
+            raw, stats = _labelled(options)
+            texts = map(_cells_text(options.order), raw)
     except SearchIncomplete as exc:
         print(
             f"# nodes={exc.stats.nodes} failures={exc.stats.failures} "
@@ -109,7 +115,7 @@ def _cmd_search(args) -> int:
         f"# nodes={stats.nodes} failures={stats.failures} models={stats.models_found} "
         f"classes={stats.models_after_iso} seconds={stats.seconds:.3f}\n"
     )
-    _emit(itertools.chain((serialize_table(t) + "\n" for t in models), [footer]), args.out)
+    _emit(itertools.chain(texts, [footer]), args.out)
     return 0
 
 

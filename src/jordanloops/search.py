@@ -25,7 +25,7 @@ over every labelling; the tests keep that as the slow reference.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from math import factorial
 from operator import itemgetter
@@ -551,20 +551,6 @@ def _exponent2_seeds(n: int, cells: list):
         yield PartialTable(n, tuple(cells))
 
 
-def _materialise(n: int, raw: list, nonassociative_only: bool, tick) -> list[MagmaTable]:
-    """The completions in ``raw`` as loops, least first, without the
-    associative ones if asked; ``tick`` is called every 256 completions."""
-    raw.sort()
-    tables = []
-    for k, cells in enumerate(raw, 1):
-        table = build_magma(n, [cells[i * n:(i + 1) * n] for i in range(n)], "loop")
-        if not (nonassociative_only and check(table, "associative")):
-            tables.append(table)
-        if not k & 255:
-            tick()
-    return tables
-
-
 def _class_representatives(options: SearchOptions, stats: SearchStats, start: float) -> list[MagmaTable]:
     """The least form of each isomorphism class, searched one squaring class
     at a time: loops in different squaring classes are never isomorphic."""
@@ -582,7 +568,13 @@ def _class_representatives(options: SearchOptions, stats: SearchStats, start: fl
                 stats.failures += 1
             else:
                 _run(state, options, stats, raw, start)
-        tables = _materialise(n, raw, options.nonassociative_only, tick)
+        tables = []
+        for k, cells in enumerate(raw, 1):
+            table = build_magma(n, [cells[i * n:(i + 1) * n] for i in range(n)], "loop")
+            if not (options.nonassociative_only and check(table, "associative")):
+                tables.append(table)
+            if not k & 255:
+                tick()
         for table in classify_up_to_iso(tables, tick):
             rows, automorphisms = _least_form(table.rows)
             stats.models_found += labellings // automorphisms
@@ -621,6 +613,32 @@ def _orbit(rows, tick=lambda: None) -> set:
     return seen
 
 
+def _check_options(options: SearchOptions):
+    """Reject a bad order or limit before any search."""
+    _check_order(options.order)
+    if options.order > 64:
+        raise ValueError(f"order {options.order} is far beyond exhaustive reach")
+    for name in ("node_limit", "time_budget", "result_limit"):
+        limit = getattr(options, name)
+        if limit is not None and name != "time_budget":
+            _check_int(limit, name)
+        if limit is not None and not limit >= 0:  # also rejects a NaN budget
+            raise ValueError(f"{name} must be non-negative, got {limit}")
+
+
+def _labelled(options: SearchOptions) -> tuple[list[bytes], SearchStats]:
+    """The labelled listing of ``enumerate_loops``, each model as the bytes of
+    its n*n cells: the classes it lists with ``up_to_iso``, expanded by ``_orbit``."""
+    _check_options(options)
+    start = time.monotonic()
+    reps, stats = enumerate_loops(replace(options, up_to_iso=True, result_limit=None))
+    tick = partial(_check_limits, options, stats, start, options.order)
+    raw = sorted(cells for rep in reps for cells in _orbit(rep.rows, tick))
+    stats.models_after_iso = len(raw)
+    stats.seconds = time.monotonic() - start
+    return raw[: options.result_limit], stats
+
+
 def enumerate_loops(options: SearchOptions) -> tuple[list[MagmaTable], SearchStats]:
     """All commutative loops of the given order meeting the requested
     filters, lexicographically least table first, plus search statistics.
@@ -629,31 +647,16 @@ def enumerate_loops(options: SearchOptions) -> tuple[list[MagmaTable], SearchSta
     isomorphism class is listed by its least table; without it, by all its
     identity-fixing relabellings."""
     n = options.order
-    _check_order(n)
-    if n > 64:
-        raise ValueError(f"order {n} is far beyond exhaustive reach")
-    for name in ("node_limit", "time_budget", "result_limit"):
-        limit = getattr(options, name)
-        if limit is None:
-            continue
-        if name != "time_budget":
-            _check_int(limit, name)
-        if not limit >= 0:  # also rejects a NaN budget
-            raise ValueError(f"{name} must be non-negative, got {limit}")
-    stats = SearchStats()
-    start = time.monotonic()
-    reps = _class_representatives(options, stats, start)
-    if options.up_to_iso:
-        tables = sorted(reps, key=lambda t: t.rows)
-    else:
+    if not options.up_to_iso:
+        raw, stats = _labelled(options)
         # each relabelling of a loop fixing 0 is again a loop, so the
         # copies are frozen without build_magma's checks
-        tick = partial(_check_limits, options, stats, start, n)
-        raw = sorted(cells for rep in reps for cells in _orbit(rep.rows, tick))
         lines = [slice(i * n, i * n + n) for i in range(n)]
-        tables = [MagmaTable(n, map(cells.__getitem__, lines), "loop") for cells in raw]
+        return [MagmaTable(n, map(cells.__getitem__, lines), "loop") for cells in raw], stats
+    _check_options(options)
+    stats = SearchStats()
+    start = time.monotonic()
+    tables = sorted(_class_representatives(options, stats, start), key=lambda t: t.rows)
     stats.models_after_iso = len(tables)
-    if options.result_limit is not None:
-        tables = tables[: options.result_limit]
     stats.seconds = time.monotonic() - start
-    return tables, stats
+    return tables[: options.result_limit], stats

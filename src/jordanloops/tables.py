@@ -546,6 +546,22 @@ def _table_lines(table: MagmaTable):
         yield " ".join(map(label, row)) + "\n"
 
 
+def _cells_text(n: int):
+    """Map an order-n loop's n*n cell bytes (n <= 64) to ``serialize_table(t) + "\\n"``:
+    each cell fills its tens digit or 0, its ones digit and a separator; the 0s are dropped."""
+    head = f"order {n}\nkind loop\n".encode()
+    tens = bytes(48 + v // 10 if v > 9 else 0 for v in range(n)).ljust(256, b"\0")
+    ones = bytes(48 + v % 10 for v in range(n)).ljust(256, b"\0")
+    buf = bytearray(head + (b"\0\0 " * (n - 1) + b"\0\0\n") * n + b"\n")
+    at, end = len(head), len(buf) - 1
+
+    def text(cells: bytes) -> str:
+        buf[at:end:3], buf[at + 1 : end : 3] = cells.translate(tens), cells.translate(ones)
+        return buf.replace(b"\0", b"").decode()
+
+    return text
+
+
 def serialize_table(table: MagmaTable) -> str:
     """Render as the plain-text wire format: the lines of ``_table_lines``."""
     return "".join(_table_lines(table))

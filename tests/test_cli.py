@@ -171,10 +171,23 @@ class TestSearch:
 
     @pytest.mark.parametrize("flag", ["--limit", "--node-limit", "--budget"])
     def test_negative_limit_is_parameter_error(self, flag, capsys):
-        assert run(["search", "--order", "6", flag, "-1"]) == 2
+        for iso in ([], ["--up-to-iso"]):
+            assert run(["search", "--order", "6", *iso, flag, "-1"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "must be non-negative" in captured.err
+
+    @pytest.mark.parametrize("iso", [[], ["--up-to-iso"]])
+    @pytest.mark.parametrize(
+        "args,message",
+        [(["--order", "6", "--budget", "nan"], "time_budget must be non-negative, got nan"),
+         (["--order", "65"], "order 65 is far beyond exhaustive reach")],
+    )
+    def test_bad_argument_exits_before_search(self, iso, args, message, capsys):
+        assert run(["search", *args, *iso]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "must be non-negative" in captured.err
+        assert message in captured.err
 
 
 class TestPowers:

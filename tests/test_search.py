@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 from functools import lru_cache
 from math import factorial
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jordanloops.cli import run
 from jordanloops.constructions import even_jordan
 from jordanloops.search import (
     PartialTable,
@@ -31,6 +33,7 @@ from jordanloops.tables import (
     cyclic_group,
     find_isomorphism,
     parse_tables,
+    serialize_table,
 )
 from oracle import canonical_form, conjugacy_key, naive_commutative_loops, output_digest, relabel
 
@@ -529,6 +532,25 @@ class TestLabelledListing:
         calls = []
         assert len(_orbit(z9.rows, lambda: calls.append(1))) == 6720
         assert len(calls) == 6720 // 256
+
+    @pytest.mark.parametrize(
+        "argv", [["7"], ["8"], ["9"], ["8", "--nonassociative"], ["9", "--limit", "5"]], ids=" ".join
+    )
+    def test_cli_text_matches_serialized_listing(self, argv, capsys):
+        """The CLI writes the listing from cell bytes; this is its slow reference."""
+        assert run(["search", "--order", *argv]) == 0
+        out = re.sub(r"seconds=[\d.]+", "seconds=", capsys.readouterr().out)
+        order, flags = int(argv[0]), argv[1:]
+        if flags == ["--limit", "5"]:
+            tables, stats = enumerate_loops(SearchOptions(order=order, result_limit=5))
+        else:
+            tables, stats = listed(order, True, flags == ["--nonassociative"])
+        footer = (f"# nodes={stats.nodes} failures={stats.failures} models={stats.models_found} "
+                  f"classes={stats.models_after_iso} seconds=\n")
+        expected = "".join(serialize_table(t) + "\n" for t in tables) + footer
+        assert out.splitlines() == expected.splitlines() and out == expected  # a cheap diff on failure
+        if not flags:
+            assert output_digest(parse_tables(out)) == OUTPUT_DIGESTS[order]
 
 
 @settings(max_examples=30)

@@ -1,6 +1,7 @@
 import itertools
 import random
 from enum import IntEnum
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from jordanloops.tables import (
     PROPERTY_TAGS,
     MagmaTable,
     ValidationError,
+    _cells_text,
     _least_form,
     build_magma,
     check,
@@ -353,6 +355,23 @@ class TestLineLevelChecks:
         text = serialize_table(table)
         assert text == serialize_reference(table)
         assert parse_tables(text) == [table]
+
+    @settings(max_examples=10)
+    @given(st.integers(0, 2**32))
+    def test_cells_text_matches_serialize_table(self, seed):
+        """Z_n at every order up to 64 and every constructed nonassociative
+        loop up to order 64, each relabelled by a random permutation fixing 0."""
+        rnd = random.Random(seed)
+        for loop in cells_text_loops():
+            n = loop.order
+            table = relabel(loop, [0, *rnd.sample(range(1, n), n - 1)])
+            cells = bytes(v for row in table.rows for v in row)
+            assert _cells_text(n)(cells) == serialize_table(table) + "\n", n
+
+
+@lru_cache(maxsize=None)
+def cells_text_loops():
+    return [cyclic_group(n) for n in range(1, 65)] + [construct(n) for n in range(6, 65) if n != 9]
 
 
 ROUND_TRIP_LOOPS = (
