@@ -79,7 +79,9 @@ def normal_closure(table: MagmaTable, seed) -> SubsetClosure:
     _check_element(table, *seed)
     rows = table.rows
     n = table.order
-    gens = tuple(set(rows) | set(zip(*rows)))
+    # the rows and the columns are the translations.  Row x sends 0 to x, as
+    # does column x, so a column can repeat only its own row
+    gens = rows + tuple(col for x, col in enumerate(zip(*rows)) if col != rows[x])
     parent = list(range(n))
 
     def find(x):

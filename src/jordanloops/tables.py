@@ -99,6 +99,13 @@ def build_magma(order: int, rows, kind: str = "magma") -> MagmaTable:
             for j, v in enumerate(row):
                 if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < order:
                     raise ValidationError(f"cell ({i},{j}) value {v!r} out of range 0..{order - 1}")
+    return _check_kind(table)
+
+
+def _check_kind(table: MagmaTable) -> MagmaTable:
+    """The Latin and identity checks of ``build_magma``, on a table whose
+    cells are already known to be labels 0..order-1."""
+    order, rows, kind = table.order, table.rows, table.kind
     if kind != "magma":
         bad = _latin_violation(rows, order)
         if bad is not None:
@@ -583,6 +590,17 @@ def _parse_chunk(lines) -> MagmaTable:
     body = lines[2:]
     if len(body) != order:
         raise ValidationError(f"expected {order} table rows, got {len(body)}")
+    if 1 <= order <= ORDER_LIMIT:
+        # a token found in the label map is the text of a label in range, so
+        # only the kind's checks remain; any other token takes the int() path
+        label = {str(v): v for v in range(order)}.__getitem__
+        try:
+            rows = [tuple(map(label, line.split())) for line in body]
+        except KeyError:
+            pass
+        else:
+            if all(len(row) == order for row in rows):
+                return _check_kind(MagmaTable(order, rows, kind_line[1]))
     rows = []
     for line in body:
         try:

@@ -123,6 +123,44 @@ def build_magma_reference(order: int, rows, kind: str = "magma") -> MagmaTable:
     return table
 
 
+def parse_reference(text: str) -> list[MagmaTable]:
+    """``tables.parse_tables`` converting every token with ``int()`` and
+    validating every table with ``build_magma_reference``."""
+    chunks: list = [[]]
+    for raw in text.splitlines():
+        line = raw.strip()
+        if line.startswith("#"):
+            continue
+        if line:
+            chunks[-1].append(line)
+        elif chunks[-1]:
+            chunks.append([])
+    tables = []
+    for lines in filter(None, chunks):
+        if len(lines) < 2:
+            raise ValidationError("truncated table: missing header lines")
+        head = lines[0].split()
+        if len(head) != 2 or head[0] != "order":
+            raise ValidationError(f"expected 'order <n>' header, got {lines[0]!r}")
+        try:
+            order = int(head[1])
+        except ValueError:
+            raise ValidationError(f"bad order {head[1]!r}") from None
+        kind = lines[1].split()
+        if len(kind) != 2 or kind[0] != "kind" or kind[1] not in KINDS:
+            raise ValidationError(f"expected 'kind magma|quasigroup|loop', got {lines[1]!r}")
+        if len(lines) - 2 != order:
+            raise ValidationError(f"expected {order} table rows, got {len(lines) - 2}")
+        rows = []
+        for line in lines[2:]:
+            try:
+                rows.append([int(token) for token in line.split()])
+            except ValueError:
+                raise ValidationError(f"bad table row {line!r}") from None
+        tables.append(build_magma_reference(order, rows, kind[1]))
+    return tables
+
+
 def serialize_reference(table: MagmaTable) -> str:
     """The wire format, one ``str`` call per cell."""
     lines = [f"order {table.order}", f"kind {table.kind}"]

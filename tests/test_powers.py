@@ -1,5 +1,6 @@
 import pytest
 
+from jordanloops import powers
 from jordanloops.constructions import even_jordan, jordan_tower, odd_jordan
 from jordanloops.powers import (
     DEFAULT_EXPONENT_CAP,
@@ -118,6 +119,15 @@ class TestPowerAssociativity:
     def test_gap_loop_is_not(self):
         gap, _ = powers_gap_loop(2, 3)
         assert not is_power_associative(gap)
+
+    def test_elements_of_a_checked_subloop_are_skipped(self, monkeypatch):
+        """Z_12 is checked on <0> and on <1>, which is all of it."""
+        checked = []
+        witness = powers._associativity_witness
+        monkeypatch.setattr(powers, "_associativity_witness",
+                            lambda rows, members: checked.append(members) or witness(rows, members))
+        assert is_power_associative(cyclic_group(12))
+        assert checked == [(0,), tuple(range(12))]
 
     def test_element_orders(self):
         t = cyclic_group(6)

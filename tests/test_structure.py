@@ -10,9 +10,11 @@ from jordanloops.constructions import construct, even_jordan, hyper_extend, jord
 from jordanloops.powers import (
     element_order,
     generated_subloop,
+    is_power_associative,
     is_well_defined,
     parenthesization_set,
     power_profile,
+    powers_gap_loop,
     right_power,
 )
 from jordanloops.search import classify_up_to_iso
@@ -37,6 +39,7 @@ from jordanloops.tables import (
     direct_product,
     find_isomorphism,
     left_divide,
+    opposite,
     parse_tables,
     right_divide,
 )
@@ -263,12 +266,56 @@ class TestAgainstInnerMappingOracle:
             for seed in seeds:
                 assert generated_subloop(t, seed).members == division_closure(t, seed), (n, seed)
 
+    def test_power_associativity_matches_per_element_definition(self):
+        """Every element's subloop, closed under both divisions, checked for
+        associativity triple by triple; on the gap loops too, and on a
+        random relabelling of every loop."""
+        rng = random.Random(20262)
+        loops = DIFFERENTIAL_LOOPS + [powers_gap_loop(m, n)[0] for m, n in ((2, 3), (4, 3), (3, 5), (2, 7))]
+        verdicts = set()
+        for t in loops + [relabel(t, [0, *rng.sample(range(1, t.order), t.order - 1)]) for t in loops]:
+            r = t.rows
+            expected = all(
+                r[r[x][y]][z] == r[x][r[y][z]]
+                for m in (division_closure(t, (e,)) for e in range(t.order))
+                for x in m for y in m for z in m
+            )
+            assert is_power_associative(t) == expected, t.order
+            verdicts.add(expected)
+        assert verdicts == {True, False}
+
 
 @st.composite
-def relabelled_loops(draw):
+def relabelled_loops(draw, loops=DIFFERENTIAL_LOOPS):
     """A loop and a relabelling of its elements that fixes the identity 0."""
-    t = draw(st.sampled_from(DIFFERENTIAL_LOOPS))
+    t = draw(st.sampled_from(loops))
     return t, [0] + draw(st.permutations(range(1, t.order)))
+
+
+_S3 = symmetric_group_3()[0]
+# Loops whose rows and columns differ, so the column translations of
+# ``normal_closure`` are exercised: S3, S3 x Z_k, and their opposites.
+NONCOMMUTATIVE_LOOPS = [
+    f(t) for t in [_S3] + [direct_product(_S3, cyclic_group(k)) for k in (2, 3, 5)]
+    for f in (lambda t: t, opposite)
+]
+
+
+@settings(max_examples=40)
+@given(relabelled_loops(NONCOMMUTATIVE_LOOPS), st.randoms(use_true_random=False))
+def test_noncommutative_closures_match_inner_mapping_oracle(case, rnd):
+    t, perm = case
+    u = relabel(t, perm)
+    n = u.order
+    assert not check(u, "commutative")
+    maps = inner_mappings(u)
+    closures = [inner_mapping_closure(u, (x,), maps) for x in range(n)]
+    for x in range(n):
+        assert normal_closure(u, [x]).members == closures[x], x
+    seed = rnd.sample(range(n), 2)
+    assert normal_closure(u, seed).members == inner_mapping_closure(u, seed, maps)
+    proper = [c for c in closures[1:] if len(c) < n]
+    assert find_proper_normal_subloop(u).members == proper[0]
 
 
 @settings(max_examples=60)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jordanloops import tables
 from jordanloops.constructions import antidiagonal_idempotent, construct
 from jordanloops.search import SearchOptions, enumerate_loops
 from jordanloops.tables import (
@@ -38,6 +39,7 @@ from oracle import (
     build_magma_reference,
     canonical_form,
     least_isomorphism,
+    parse_reference,
     relabel,
     serialize_reference,
 )
@@ -330,11 +332,12 @@ def corrupted_tables(draw):
     return n, rows
 
 
-def outcome(build, n, rows, kind):
+def outcome(build, *args):
     try:
-        return build(n, rows, kind).rows
+        result = build(*args)
     except ValidationError as exc:
         return str(exc)
+    return result.rows if isinstance(result, MagmaTable) else result
 
 
 class TestLineLevelChecks:
@@ -367,6 +370,68 @@ class TestLineLevelChecks:
             table = relabel(loop, [0, *rnd.sample(range(1, n), n - 1)])
             cells = bytes(v for row in table.rows for v in row)
             assert _cells_text(n)(cells) == serialize_table(table) + "\n", n
+
+    @settings(max_examples=100)
+    @given(st.integers(1, 64), st.sampled_from(KINDS), st.integers(0, 3),
+           st.randoms(use_true_random=False))
+    def test_parse_matches_int_reference(self, n, kind, edits, rnd):
+        """A table of the kind at order n, up to ``edits`` of its tokens
+        rewritten, dropped or repeated, then the same table untouched."""
+        if kind == "magma":
+            rows = [[rnd.randrange(n) for _ in range(n)] for _ in range(n)]
+        elif kind == "quasigroup":
+            r, c, v = (rnd.sample(range(n), n) for _ in range(3))
+            rows = [[v[(r[i] + c[j]) % n] for j in range(n)] for i in range(n)]
+        else:
+            loop = rnd.choice([t for t in cells_text_loops() if t.order == n])
+            rows = relabel(loop, [0, *rnd.sample(range(1, n), n - 1)]).rows
+        table = build_magma(n, rows, kind)
+        lines = serialize_table(table).splitlines()
+        for _ in range(edits):
+            i = rnd.randrange(n)
+            tokens = lines[2 + i].split()
+            j = rnd.randrange(len(tokens)) if tokens else 0
+            how = rnd.choice([*TOKEN_EDITS, "drop", "repeat"])
+            if how == "drop":
+                del tokens[j:j + 1]
+            elif how == "repeat":
+                tokens.insert(j, tokens[j] if tokens else "0")
+            else:
+                tokens[j:j + 1] = [TOKEN_EDITS[how](rows[i][min(j, n - 1)], n)]
+            lines[2 + i] = " ".join(tokens)
+        text = "\n".join(lines) + "\n\n" + serialize_table(table)
+        expected = outcome(parse_reference, text)
+        assert outcome(parse_tables, text) == expected
+        if not edits:
+            assert expected == [table, table]
+
+    def test_canonical_labels_skip_the_cell_checks(self, monkeypatch):
+        """A text of canonical labels is checked only for its kind; one
+        non-canonical token sends the table through ``build_magma``."""
+        loop = construct(64)
+        text = serialize_table(loop)
+        calls = []
+        build = tables.build_magma
+        monkeypatch.setattr(tables, "build_magma", lambda *args: calls.append(args) or build(*args))
+        assert parse_tables(text) == [loop] and not calls
+        assert parse_tables(text.replace("\n1 ", "\n01 ", 1)) == [loop] and len(calls) == 1
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+# Rewrites of the token of label v in an order-n table: int() reads the
+# first five as v (or 0), the next two as out of range, the last two not at all.
+TOKEN_EDITS = {
+    "leading zero": lambda v, n: f"0{v}",
+    "plus sign": lambda v, n: f"+{v}",
+    "minus zero": lambda v, n: "-0",
+    "underscore": lambda v, n: f"{v // 10}_{v % 10}",
+    "arabic-indic": lambda v, n: str(v).translate(ARABIC_INDIC),
+    "order": lambda v, n: str(n),
+    "minus one": lambda v, n: "-1",
+    "letter": lambda v, n: "x",
+    "decimal": lambda v, n: f"{v}.0",
+}
 
 
 @lru_cache(maxsize=None)
