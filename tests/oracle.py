@@ -317,3 +317,31 @@ def output_digest(tables) -> str:
         for t in tables
     )
     return hashlib.sha256("\n\n".join(texts).encode()).hexdigest()
+
+
+def seed_group(pt) -> list:
+    """Every identity-fixing permutation that maps the set cells of the
+    partial table ``pt`` onto themselves, tried one by one."""
+    n, cells = pt.order, pt.cells
+    return [
+        p for p in _relabellings(n)
+        if all(cells[p[k // n] * n + p[k % n]] == (p[v] if v >= 0 else -1) for k, v in enumerate(cells))
+    ]
+
+
+def group_orbits(group, n: int) -> list:
+    """The least element of each element's orbit under ``group``."""
+    return [min(p[x] for p in group) for x in range(n)]
+
+
+def least_under_stabiliser(group, row) -> bool:
+    """Whether no permutation p in ``group`` fixing a = row[0] maps ``row``,
+    row a of a loop, to a smaller row, where p puts p(row[j]) at p(j)."""
+    for p in group:
+        if p[row[0]] == row[0]:
+            image = [0] * len(row)
+            for j, v in enumerate(row):
+                image[p[j]] = p[v]
+            if image < list(row):
+                return False
+    return True
