@@ -104,7 +104,8 @@ def _cmd_search(args) -> int:
             texts = (serialize_table(t) + "\n" for t in models)
         else:
             raw, stats = _labelled(options)
-            texts = map(_cells_text(options.order), raw)
+            text = _cells_text(options.order)
+            texts = (text(*raw[k : k + 256]) for k in range(0, len(raw), 256))
     except SearchIncomplete as exc:
         print(
             f"# nodes={exc.stats.nodes} failures={exc.stats.failures} "

@@ -34,7 +34,6 @@ import time
 from dataclasses import dataclass, field, replace
 from functools import partial
 from math import factorial
-from operator import itemgetter
 from types import SimpleNamespace
 
 from .tables import (
@@ -695,8 +694,10 @@ def _orbit(rows, tick=lambda: None) -> set:
     """Every identity-fixing relabelling of the loop ``rows``, as the bytes
     of its n*n cells (n <= 64): the closure of the table under the
     transposition (1 2) and the cycle (1 2 ... n-1), which generate S_(n-1).
-    ``tick`` is called every 256 tables."""
+    Up to 256 tables are relabelled at once, a strided copy per moved cell
+    and one translate per generator.  ``tick`` is called every 256 tables."""
     n = len(rows)
+    size = n * n
     seen = {bytes(v for row in rows for v in row)}
     if n < 3:
         return seen
@@ -706,19 +707,25 @@ def _orbit(rows, tick=lambda: None) -> set:
     # relabelling by p writes p[x*y] into cell (p[x], p[y]), so cell (a, b)
     # reads cell (p^-1[a], p^-1[b])
     moves = [
-        (itemgetter(*[q[a] * n + q[b] for a in range(n) for b in range(n)]), bytes(p).ljust(256))
+        ([(a * n + b, q[a] * n + q[b]) for a in range(n) for b in range(n) if (q[a], q[b]) != (a, b)],
+         bytes(p).ljust(256))
         for p, q in ((swap, swap), (cycle, back))
     ]
     todo = list(seen)
     while todo:
-        cells = todo.pop()
-        for read, label in moves:
-            image = bytes(read(cells)).translate(label)
-            if image not in seen:
-                seen.add(image)
-                todo.append(image)
-                if not len(seen) & 255:
-                    tick()
+        chunk = b"".join(todo[-256:])
+        del todo[-256:]
+        for cells, label in moves:
+            image = bytearray(chunk)
+            for to, frm in cells:
+                image[to::size] = chunk[frm::size]
+            image = bytes(image).translate(label)
+            new = {image[k : k + size] for k in range(0, len(image), size)} - seen
+            before = len(seen)
+            seen |= new
+            todo += new
+            for _ in range(before // 256, len(seen) // 256):
+                tick()
     return seen
 
 

@@ -554,17 +554,21 @@ def _table_lines(table: MagmaTable):
 
 
 def _cells_text(n: int):
-    """Map an order-n loop's n*n cell bytes (n <= 64) to ``serialize_table(t) + "\\n"``:
-    each cell fills its tens digit or 0, its ones digit and a separator; the 0s are dropped."""
+    """Map the n*n cell bytes of order-n loops (n <= 64) to their joined
+    ``serialize_table(t) + "\\n"``: one stream of symbols (the header's
+    characters as 64 and up, the cells, a tail), each filling a tens digit,
+    a ones digit and a separator, or 0s, which are dropped."""
     head = f"order {n}\nkind loop\n".encode()
-    tens = bytes(48 + v // 10 if v > 9 else 0 for v in range(n)).ljust(256, b"\0")
-    ones = bytes(48 + v % 10 for v in range(n)).ljust(256, b"\0")
-    buf = bytearray(head + (b"\0\0 " * (n - 1) + b"\0\0\n") * n + b"\n")
-    at, end = len(head), len(buf) - 1
+    tens = (bytes(48 + v // 10 if v > 9 else 0 for v in range(64)) + head + b"\n").ljust(256, b"\0")
+    ones = bytes(48 + v % 10 for v in range(64)).ljust(256, b"\0")
+    start, end = bytes(range(64, 64 + len(head))), bytes([64 + len(head)])
+    seps = b"\0" * len(head) + (b" " * (n - 1) + b"\n") * n + b"\0"
 
-    def text(cells: bytes) -> str:
-        buf[at:end:3], buf[at + 1 : end : 3] = cells.translate(tens), cells.translate(ones)
-        return buf.replace(b"\0", b"").decode()
+    def text(*tables: bytes) -> str:
+        symbols = b"".join(start + cells + end for cells in tables)
+        buf = bytearray(3 * len(symbols))
+        buf[::3], buf[1::3], buf[2::3] = symbols.translate(tens), symbols.translate(ones), seps * len(tables)
+        return buf.translate(None, b"\0").decode()
 
     return text
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import time
+from operator import itemgetter
 
 from jordanloops.search import SearchOptions, SearchStats, _run, _State
 from jordanloops.structure import conjugation, inner_left, inner_right
@@ -345,3 +346,35 @@ def least_under_stabiliser(group, row) -> bool:
             if image < list(row):
                 return False
     return True
+
+
+def orbit_reference(rows, tick=lambda: None) -> set:
+    """Every identity-fixing relabelling of the loop ``rows``, as the bytes
+    of its n*n cells (n <= 64): the closure of the table under the
+    transposition (1 2) and the cycle (1 2 ... n-1), which generate S_(n-1),
+    one table and one generator at a time.  ``tick`` is called every 256
+    tables."""
+    n = len(rows)
+    seen = {bytes(v for row in rows for v in row)}
+    if n < 3:
+        return seen
+    swap = [0, 2, 1, *range(3, n)]
+    cycle = [0, *range(2, n), 1]
+    back = [0, n - 1, *range(1, n - 1)]
+    # relabelling by p writes p[x*y] into cell (p[x], p[y]), so cell (a, b)
+    # reads cell (p^-1[a], p^-1[b])
+    moves = [
+        (itemgetter(*[q[a] * n + q[b] for a in range(n) for b in range(n)]), bytes(p).ljust(256))
+        for p, q in ((swap, swap), (cycle, back))
+    ]
+    todo = list(seen)
+    while todo:
+        cells = todo.pop()
+        for read, label in moves:
+            image = bytes(read(cells)).translate(label)
+            if image not in seen:
+                seen.add(image)
+                todo.append(image)
+                if not len(seen) & 255:
+                    tick()
+    return seen

@@ -44,6 +44,7 @@ from oracle import (
     group_orbits,
     least_under_stabiliser,
     naive_commutative_loops,
+    orbit_reference,
     output_digest,
     relabel,
     seed_group,
@@ -656,6 +657,28 @@ class TestLabelledListing:
         assert len(_orbit(z9.rows, lambda: calls.append(1))) == 6720
         assert len(calls) == 6720 // 256
 
+    def test_orbit_budget_stops_the_expansion(self):
+        z9 = next(c for c in classes_of(9, True) if find_isomorphism(c, cyclic_group(9)) is not None)
+        calls = []
+
+        def tick():
+            calls.append(1)
+            raise SearchIncomplete("time budget 0 exceeded", SearchStats())
+
+        with pytest.raises(SearchIncomplete, match="time budget"):
+            _orbit(z9.rows, tick)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("order,require_jordan", ORDERS)
+    @settings(max_examples=3)
+    @given(rnd=st.randoms(use_true_random=False))
+    def test_orbit_matches_reference(self, order, require_jordan, rnd):
+        """The chunked expansion against the one-table-at-a-time reference,
+        every class representative under a random relabelling fixing 0."""
+        for rep in classes_of(order, require_jordan):
+            rows = relabel(rep, [0, *rnd.sample(range(1, order), order - 1)]).rows
+            assert _orbit(rows) == orbit_reference(rows)
+
     @pytest.mark.parametrize(
         "argv", [["7"], ["8"], ["9"], ["8", "--nonassociative"], ["9", "--limit", "5"]], ids=" ".join
     )
@@ -674,6 +697,18 @@ class TestLabelledListing:
         assert out.splitlines() == expected.splitlines() and out == expected  # a cheap diff on failure
         if not flags:
             assert output_digest(parse_tables(out)) == OUTPUT_DIGESTS[order]
+
+    @pytest.mark.parametrize("limit", [257, 0])
+    def test_cli_listing_across_chunks(self, limit, capsys):
+        """The listing is formatted 256 tables at a time: 257 tables span a
+        chunk boundary, and none leaves the footer alone."""
+        assert run(["search", "--order", "8", "--limit", str(limit)]) == 0
+        out = re.sub(r"seconds=[\d.]+", "seconds=", capsys.readouterr().out)
+        tables, stats = enumerate_loops(SearchOptions(order=8, result_limit=limit))
+        assert len(tables) == limit
+        footer = (f"# nodes={stats.nodes} failures={stats.failures} models={stats.models_found} "
+                  f"classes={stats.models_after_iso} seconds=\n")
+        assert out == "".join(serialize_table(t) + "\n" for t in tables) + footer
 
 
 @settings(max_examples=30)

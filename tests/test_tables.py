@@ -371,6 +371,21 @@ class TestLineLevelChecks:
             cells = bytes(v for row in table.rows for v in row)
             assert _cells_text(n)(cells) == serialize_table(table) + "\n", n
 
+    @pytest.mark.parametrize("k", [1, 2, 256])
+    @pytest.mark.parametrize("n", [1, 2, 9, 10, 11, 63, 64])
+    def test_cells_text_chunk_is_concatenation(self, n, k):
+        """k tables formatted at once read as k single-table calls joined;
+        the cells are random labels, so both digit widths and every label
+        position occur."""
+        rnd = random.Random(n * 1000 + k)
+        labels = bytes(v % n for v in range(256))
+        chunk = [rnd.randbytes(n * n).translate(labels) for _ in range(k)]
+        text = _cells_text(n)
+        assert text(*chunk) == "".join(map(text, chunk))
+        rows = [chunk[0][i * n:(i + 1) * n] for i in range(n)]
+        assert text(chunk[0]) == serialize_table(MagmaTable(n, rows, "loop")) + "\n"
+        assert text() == ""
+
     @settings(max_examples=100)
     @given(st.integers(1, 64), st.sampled_from(KINDS), st.integers(0, 3),
            st.randoms(use_true_random=False))
