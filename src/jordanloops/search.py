@@ -21,7 +21,8 @@ G-orbit is filled first, and a filled row is searched on only when no
 element of G fixing a gives it a smaller image.  Every completion has such
 an image, itself a completion and isomorphic to it (McKay, "Isomorph-free
 exhaustive generation", J. Algorithms 26, 1998).
-The completions of each squaring class are classified on their own, each
+The completions of each squaring class are classified on their own (of
+the exponent-2 ones, only those whose L_1 gives the least row 1), each
 class is represented by its least relabelling, and the labelled models are
 counted as the sum of (n-1)!/|Aut L|.  With ``up_to_iso`` the
 representatives are the output; without it each is expanded into all its
@@ -42,6 +43,7 @@ from .tables import (
     _check_int,
     _check_order,
     _least_form,
+    _row1_cycles,
     build_magma,
     check,
     classify_up_to_iso,
@@ -623,9 +625,9 @@ class _Leftover:
     def smaller(self, pi: list, row, k: int = 1) -> bool:
         """Whether an element φ of G extending pi gives ``row`` a smaller
         image, (φ·row)[φ(j)] = φ(row[j]), given that the image agrees with
-        ``row`` before position k.  As in ``tables._least_form``, position k
-        names its preimage j, then row[j] its image, and a branch ends once
-        the image is larger."""
+        ``row`` before position k.  The image is built position by position:
+        position k names its preimage j, then row[j] its image, and a branch
+        ends once the image is larger."""
         self.tick()
         if k == self.n:
             return False
@@ -678,15 +680,22 @@ def _class_representatives(options: SearchOptions, stats: SearchStats, start: fl
         stats.completions += len(raw)
         tables = []
         for k, cells in enumerate(raw, 1):
-            table = build_magma(n, [cells[i * n:(i + 1) * n] for i in range(n)], "loop")
-            if not (options.nonassociative_only and check(table, "associative")):
-                tables.append(table)
+            rows = [cells[i * n:(i + 1) * n] for i in range(n)]
+            # keep an exponent-2 completion (zero diagonal) only when its L_1
+            # gives the least row 1: the seed of each class's least cycle
+            # type finds one (McKay's canonical construction path)
+            if n & 1 or any(cells[:: n + 1]) or 1 in _row1_cycles(rows):
+                # the engine keeps every line Latin and 0 the identity, and a
+                # least form relabels a loop fixing 0: neither needs build_magma
+                table = MagmaTable(n, rows, "loop")
+                if not (options.nonassociative_only and check(table, "associative")):
+                    tables.append(table)
             if not k & 255:
                 tick()
         for table in classify_up_to_iso(tables, tick):
             rows, automorphisms = _least_form(table.rows)
             stats.models_found += labellings // automorphisms
-            reps.append(build_magma(n, rows, "loop"))
+            reps.append(MagmaTable(n, rows, "loop"))
     return reps
 
 

@@ -448,72 +448,116 @@ def find_isomorphism(lhs: MagmaTable, rhs: MagmaTable) -> Permutation | None:
     return _match(r1, keys1, r2, keys2)
 
 
+def _row1_cycles(rows) -> dict:
+    """The b whose left translation L_b gives the least row 1 of a
+    relabelling that names b 1, each with the cycles of L_b: the one through
+    0 first, then the others, shortest first.  That row lists the cycles in
+    this order, each labelled in turn along itself, so it is least when the
+    cycle through 0 is shortest and then the lengths of the others are."""
+    n = len(rows)
+    least, found = None, {}
+    for b in range(1, n):
+        rb, seen, cycles = rows[b], [False] * n, []
+        for x in range(n):
+            cycle = []
+            while not seen[x]:
+                seen[x] = True
+                cycle.append(x)
+                x = rb[x]
+            if cycle:
+                cycles.append(cycle)
+        cycles[1:] = sorted(cycles[1:], key=len)
+        key = list(map(len, cycles))
+        if least is None or key < least:
+            least, found = key, {}
+        if key == least:
+            found[b] = cycles
+    return found
+
+
 def _least_form(rows):
     """The least rows over every identity-fixing relabelling of the loop
     ``rows``, and the number of relabellings that give them: |Aut L|.
 
-    The relabelled table is built cell by cell in row-major order.  Row 1
-    names every element, so the branching happens there: the preimage of a
-    label is chosen only when a cell needs it and no product has named it
-    yet, and each newly met product takes the least unused label, as any
-    other label would make that cell larger.  A branch is cut once its whole
-    prefix exceeds the best table so far; the leaves that tie with the best
-    are its automorphisms."""
+    Row 1 is fixed by ``_row1_cycles``, so the branching is over which b is
+    relabelled 1, then which unused cycle of L_b of the next length comes
+    next and where it starts.  After each cycle, the relabelled table is
+    compared with the best so far in row-major order from row 2, up to a
+    cell whose column has no label yet.  A product with no label will get
+    one at least the next free label, so a branch is cut when the best
+    table's cell is smaller.  The leaves that tie with the best are its
+    automorphisms.  Once the subtree of the b that gave the best table is
+    done, a later b with one tie is its image under an automorphism and
+    holds as many ties, so they are counted and its subtree is left."""
     n = len(rows)
-    pi = [-1] * n
-    inv = [-1] * n
-    pi[0] = inv[0] = 0
-    row1 = [1]  # cell (1, 0); cell (1, j) lands at row1[j]
-    best = None
-    count = 0
-
-    def leaf():
-        nonlocal best, count
-        tied = best is not None and row1 == list(best[1])
-        form = [tuple(range(n)), tuple(row1)]
-        for i in range(2, n):
-            ri = rows[inv[i]]
-            row = tuple([pi[ri[x]] for x in inv])
-            if tied:
-                if row > best[i]:
-                    return
-                tied = row == best[i]
-            form.append(row)
-        if tied:
-            count += 1
-        else:
-            best, count = tuple(form), 1
-
-    def scan(j, nxt):
-        """Fill cell (1, j), with labels 0..nxt-1 given out."""
-        if j == n:
-            leaf()
-            return
-        if inv[j] != -1:
-            choices = (inv[j],)
-        else:  # j == nxt: the least unused label needs a preimage
-            choices = [x for x in range(n) if pi[x] == -1]
-            nxt += 1
-        for b in choices:
-            fresh = pi[b] == -1
-            if fresh:
-                pi[b], inv[j] = j, b
-            c = rows[inv[1]][b]
-            new = pi[c] == -1
-            if new:
-                pi[c], inv[nxt] = nxt, c
-            row1[j:] = [pi[c]]
-            if best is None or row1 <= list(best[1][: j + 1]):
-                scan(j + 1, nxt + new)
-            if new:
-                pi[c] = inv[nxt] = -1
-            if fresh:
-                pi[b] = inv[j] = -1
-
     if n == 1:
         return ((0,),), 1
-    scan(1, 1)
-    return best, count
+    pi, inv = [-1] * n, [-1] * n
+    best = None  # cells of the least table so far, row-major
+    count = root = root_count = 0
+
+    def compare(p, k):
+        """The first cell from p on left open by labels 0..k-1, or -1 when
+        the table exceeds the best there; the best is dropped (None) when
+        the table is smaller."""
+        nonlocal best
+        i, j = divmod(p, n)
+        while i < k:
+            ri = rows[inv[i]]
+            while j < k:
+                v = pi[ri[inv[j]]]
+                if v < 0:
+                    return -1 if best is not None and best[i * n + j] < k else i * n + j
+                if best is not None and v != best[i * n + j]:
+                    if v > best[i * n + j]:
+                        return -1
+                    best = None
+                j += 1
+            if k < n:
+                return i * n + j
+            i, j = i + 1, 0
+        return i * n
+
+    def label(cycles, d, k, p):
+        """Label the unused cycles, one of each length in cycles[d:] in
+        turn, from label k on, the cells before p equal to the best; True
+        when the subtree is left on an automorphism."""
+        nonlocal best, count, root
+        p = compare(p, k)
+        if p < 0:
+            return False
+        if k == n:
+            if best is None:
+                best = [pi[rows[a][c]] for a in inv for c in inv]
+                count, root = 1, inv[1]
+            elif root != inv[1]:
+                count += root_count
+                return True
+            else:
+                count += 1
+            return False
+        size = len(cycles[d])
+        for cycle in cycles:
+            if len(cycle) != size or pi[cycle[0]] >= 0:
+                continue
+            for s in range(size):
+                for t in range(size):
+                    x = cycle[(s + t) % size]
+                    pi[x], inv[k + t] = k + t, x
+                if label(cycles, d + 1, k + size, p):
+                    return True
+            for x in cycle:
+                pi[x] = -1
+        return False
+
+    for b, cycles in _row1_cycles(rows).items():
+        pi[:] = [-1] * n
+        for t, x in enumerate(cycles[0]):
+            pi[x], inv[t] = t, x
+        label(cycles, 1, len(cycles[0]), 2 * n)
+        if root == b:
+            root_count = count
+    return tuple(tuple(best[i * n : i * n + n]) for i in range(n)), count
 
 
 def classify_up_to_iso(models, progress=None) -> list[MagmaTable]:

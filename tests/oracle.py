@@ -185,6 +185,33 @@ def relabel(table: MagmaTable, perm) -> MagmaTable:
     return build_magma(n, rows, table.kind)
 
 
+def random_loop(n: int, rnd) -> MagmaTable:
+    """A loop of order n with identity 0, most often non-commutative: a
+    normalised Latin square filled cell by cell in row-major order, each
+    cell trying the symbols its row and column leave free in the order of
+    ``rnd``, with backtracking."""
+    rows = [[-1] * n for _ in range(n)]
+    for i in range(n):
+        rows[0][i] = rows[i][0] = i
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        used = set(rows[i]) | {row[j] for row in rows}
+        for v in rnd.sample(range(n), n):
+            if v not in used:
+                rows[i][j] = v
+                if fill(k + 1):
+                    return True
+        rows[i][j] = -1
+        return False
+
+    fill(0)
+    return build_magma(n, rows, "loop")
+
+
 def naive_parenthesizations(table: MagmaTable, c: int, k: int) -> frozenset:
     """All values of k-factor products of c, by direct recursion."""
     if k == 1:
@@ -378,3 +405,71 @@ def orbit_reference(rows, tick=lambda: None) -> set:
                 if not len(seen) & 255:
                     tick()
     return seen
+
+
+def least_form_reference(rows):
+    """The least rows over every identity-fixing relabelling of the loop
+    ``rows``, and the number of relabellings that give them: |Aut L|.
+
+    The relabelled table is built cell by cell in row-major order.  Row 1
+    names every element, so the branching happens there: the preimage of a
+    label is chosen only when a cell needs it and no product has named it
+    yet, and each newly met product takes the least unused label, as any
+    other label would make that cell larger.  A branch is cut once its whole
+    prefix exceeds the best table so far; the leaves that tie with the best
+    are its automorphisms."""
+    n = len(rows)
+    pi = [-1] * n
+    inv = [-1] * n
+    pi[0] = inv[0] = 0
+    row1 = [1]  # cell (1, 0); cell (1, j) lands at row1[j]
+    best = None
+    count = 0
+
+    def leaf():
+        nonlocal best, count
+        tied = best is not None and row1 == list(best[1])
+        form = [tuple(range(n)), tuple(row1)]
+        for i in range(2, n):
+            ri = rows[inv[i]]
+            row = tuple([pi[ri[x]] for x in inv])
+            if tied:
+                if row > best[i]:
+                    return
+                tied = row == best[i]
+            form.append(row)
+        if tied:
+            count += 1
+        else:
+            best, count = tuple(form), 1
+
+    def scan(j, nxt):
+        """Fill cell (1, j), with labels 0..nxt-1 given out."""
+        if j == n:
+            leaf()
+            return
+        if inv[j] != -1:
+            choices = (inv[j],)
+        else:  # j == nxt: the least unused label needs a preimage
+            choices = [x for x in range(n) if pi[x] == -1]
+            nxt += 1
+        for b in choices:
+            fresh = pi[b] == -1
+            if fresh:
+                pi[b], inv[j] = j, b
+            c = rows[inv[1]][b]
+            new = pi[c] == -1
+            if new:
+                pi[c], inv[nxt] = nxt, c
+            row1[j:] = [pi[c]]
+            if best is None or row1 <= list(best[1][: j + 1]):
+                scan(j + 1, nxt + new)
+            if new:
+                pi[c] = inv[nxt] = -1
+            if fresh:
+                pi[b] = inv[j] = -1
+
+    if n == 1:
+        return ((0,),), 1
+    scan(1, 1)
+    return best, count

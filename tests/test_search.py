@@ -31,6 +31,7 @@ from jordanloops.search import (
 from jordanloops.tables import (
     ValidationError,
     _least_form,
+    _row1_cycles,
     build_magma,
     check,
     cyclic_group,
@@ -511,6 +512,57 @@ def test_class_path_work_pinned(order):
     assert (stats.nodes, stats.failures, stats.completions) == CLASS_WORK[order]
 
 
+# An exponent-2 Jordan loop of order 8 with L_1 = (0 1)(2 3 4 5 6 7) and
+# L_2 = (0 2)(1 3)(4 6)(5 7): only relabelling 2 as 1 gives the least row 1.
+NOT_CANONICAL = (
+    (0, 1, 2, 3, 4, 5, 6, 7),
+    (1, 0, 3, 4, 5, 6, 7, 2),
+    (2, 3, 0, 1, 6, 7, 4, 5),
+    (3, 4, 1, 0, 7, 2, 5, 6),
+    (4, 5, 6, 7, 0, 3, 2, 1),
+    (5, 6, 7, 2, 3, 0, 1, 4),
+    (6, 7, 4, 5, 2, 1, 0, 3),
+    (7, 2, 5, 6, 1, 4, 3, 0),
+)
+
+
+class TestExponent2Filter:
+    """The class path classifies an exponent-2 completion only when 1 is
+    among the b whose L_b gives the least row 1."""
+
+    def test_row1_rule(self):
+        xor = [[x ^ y for y in range(8)] for x in range(8)]  # every L_b is four 2-cycles
+        assert sorted(_row1_cycles(xor)) == list(range(1, 8))
+        table = build_magma(8, NOT_CANONICAL, "loop")
+        assert check(table, "jordan") and check(table, "exponent-two")
+        assert _row1_cycles(NOT_CANONICAL) == {2: [[0, 2], [1, 3], [4, 6], [5, 7]]}
+
+    def test_order8_completions_kept(self):
+        raw = []
+        for seeds in _class_seeds(8):
+            seeds = list(seeds)
+            if not any(seeds[0].cells[::9]):
+                for pt in seeds:
+                    _search_seed(pt, SearchOptions(8), SearchStats(), raw, time.monotonic())
+        kept = [build_magma(8, [c[i:i + 8] for i in range(0, 64, 8)], "loop") for c in raw]
+        kept = [t for t in kept if 1 in _row1_cycles(t.rows)]
+        assert (len(raw), len(kept)) == (54, 22)
+        assert len(classify_up_to_iso(kept)) == 7
+
+    def test_class_path_classifies_the_kept_completions(self, monkeypatch):
+        sizes = []
+
+        def spy(models, progress=None):
+            sizes.append(len(models))
+            assert all(build_magma(8, m.rows, "loop") == m for m in models)  # frozen unchecked
+            return classify_up_to_iso(models, progress)
+
+        monkeypatch.setattr("jordanloops.search.classify_up_to_iso", spy)
+        classes, stats = enumerate_loops(SearchOptions(order=8, up_to_iso=True))
+        assert classes == ORDER8_CLASSES
+        assert (stats.completions, sum(sizes)) == (81, 22 + 81 - 54)
+
+
 def _seeds(order):
     return [pt for seeds in _class_seeds(order) for pt in seeds]
 
@@ -640,8 +692,9 @@ class TestLabelledListing:
 
     @pytest.mark.parametrize("order", range(1, 10))
     def test_output_passes_build_magma(self, order):
-        # the relabelled copies are frozen unchecked; this is the check
-        for table in listed(order, True, False)[0]:
+        # the class representatives and their relabelled copies are frozen
+        # unchecked; this is the check
+        for table in classes_of(order, True) + listed(order, True, False)[0]:
             assert build_magma(order, table.rows, "loop") == table
 
     @pytest.mark.parametrize("order,require_jordan", ORDERS)

@@ -38,8 +38,10 @@ from oracle import (
     automorphism_count,
     build_magma_reference,
     canonical_form,
+    least_form_reference,
     least_isomorphism,
     parse_reference,
+    random_loop,
     relabel,
     serialize_reference,
 )
@@ -292,6 +294,50 @@ class TestLeastForm:
         t = construct(n)
         copy = relabel(t, [0] + data.draw(st.permutations(range(1, n))))
         assert _least_form(copy.rows) == _least_form(t.rows)
+
+
+@lru_cache(maxsize=None)
+def least_form_pool():
+    """Every commutative loop of orders 1-7 up to isomorphism, the 22
+    order-8 Jordan classes and construct(n) for n = 6..16, n != 9."""
+    loops = [
+        t for n in range(1, 8)
+        for t in enumerate_loops(SearchOptions(order=n, require_jordan=False, up_to_iso=True))[0]
+    ]
+    return loops + ORDER8_CLASSES + [construct(n) for n in range(6, 17) if n != 9]
+
+
+def random_relabelling(table, rnd):
+    return relabel(table, [0, *rnd.sample(range(1, table.order), table.order - 1)])
+
+
+class TestLeastFormAgainstReference:
+    """The branch-and-bound over the cycles of L_b against the row-1
+    branching it replaced (``oracle.least_form_reference``)."""
+
+    @settings(max_examples=4)
+    @given(rnd=st.randoms(use_true_random=False))
+    def test_known_loops(self, rnd):
+        for t in least_form_pool():
+            rows = random_relabelling(t, rnd).rows
+            assert _least_form(rows) == least_form_reference(rows), rows
+
+    @settings(max_examples=100)
+    @given(n=st.integers(3, 8), rnd=st.randoms(use_true_random=False))
+    def test_random_loops(self, n, rnd):
+        rows = random_relabelling(random_loop(n, rnd), rnd).rows
+        assert _least_form(rows) == least_form_reference(rows)
+
+    def test_elementary_abelian_groups(self):
+        """|Aut| is |GL(3,2)| = 168 at order 8 and |GL(4,2)| = 20,160 at
+        order 16, where the reference takes about a minute.  The least form
+        is the table itself: direct_product encodes the pairs as XOR does."""
+        z2 = cyclic_group(2)
+        e8 = direct_product(direct_product(z2, z2), z2)
+        e16 = direct_product(e8, z2)
+        assert _least_form(e8.rows) == (e8.rows, 168)
+        assert _least_form(e16.rows) == (e16.rows, 20160)
+        assert _least_form(random_relabelling(e16, random.Random(16)).rows) == (e16.rows, 20160)
 
 
 Cell = IntEnum("Cell", [(f"C{v}", v) for v in range(12)])
