@@ -21,13 +21,14 @@ G-orbit is filled first, and a filled row is searched on only when no
 element of G fixing a gives it a smaller image.  Every completion has such
 an image, itself a completion and isomorphic to it (McKay, "Isomorph-free
 exhaustive generation", J. Algorithms 26, 1998).
-The completions of each squaring class are classified on their own (of
-the exponent-2 ones, only those whose L_1 gives the least row 1), each
-class is represented by its least relabelling, and the labelled models are
-counted as the sum of (n-1)!/|Aut L|.  With ``up_to_iso`` the
-representatives are the output; without it each is expanded into all its
-identity-fixing relabellings.  The engine can also run from the blank table
-over every labelling; the tests keep that as the slow reference.
+Each completion is keyed by its least relabelling, which also gives
+|Aut L|, as soon as it is found (of the exponent-2 ones, only those whose
+L_1 gives the least row 1): one dictionary of least forms holds the
+classes, and the labelled models are counted as the sum of (n-1)!/|Aut L|.
+With ``up_to_iso`` the least forms are the output; without it each is
+expanded into all its identity-fixing relabellings.  The engine can also
+run from the blank table over every labelling; the tests keep that as the
+slow reference.
 """
 from __future__ import annotations
 
@@ -35,17 +36,16 @@ import time
 from dataclasses import dataclass, field, replace
 from functools import partial
 from math import factorial
-from types import SimpleNamespace
 
-from .tables import (
+from .tables import (  # classify_up_to_iso is re-exported for callers of this module
     MagmaTable,
     ValidationError,
+    _associativity_witness,
     _check_int,
     _check_order,
     _least_form,
     _row1_cycles,
     build_magma,
-    check,
     classify_up_to_iso,
 )
 
@@ -73,9 +73,10 @@ class SearchStats:
     refutes it; the search of the seed's row a, and the tree searched from
     each filled row kept, add their own nodes and failures.  At order 9
     that is 936 nodes, against 224,743 for the labelled tree from the blank
-    table.  ``completions`` counts the tables the seeds completed, before
-    filtering and classification.  ``models_found`` is the sum of
-    (n-1)!/|Aut L| over the classes found, the number of labelled models."""
+    table.  ``completions`` counts the tables the seeds completed, each
+    before it is filtered and keyed by its least form.  ``models_found`` is
+    the sum of (n-1)!/|Aut L| over the classes kept, the number of labelled
+    models."""
 
     nodes: int = 0
     failures: int = 0
@@ -411,11 +412,11 @@ def _check_limits(options: SearchOptions, stats: SearchStats, start: float, n: i
     raise SearchIncomplete(f"{spent} hit before the order-{n} space was exhausted", stats)
 
 
-def _run(state: _State, options: SearchOptions, stats: SearchStats, models, start: float, select=None):
+def _run(state: _State, options: SearchOptions, stats: SearchStats, found, start: float, select=None):
     """Depth-first search on an explicit stack of (i, j, remaining candidates,
     trail mark) frames, so depth is not bounded by the recursion limit.
     ``select`` (``state.select`` by default) gives each decision cell, and
-    ``models.append`` the cells of each state where it gives None."""
+    ``found`` is called with the cells of each state where it gives None."""
     select = select or state.select
     node_limit = options.node_limit
     time_budget = options.time_budget
@@ -429,7 +430,7 @@ def _run(state: _State, options: SearchOptions, stats: SearchStats, models, star
             _check_limits(options, stats, start, state.n)
         sel = select()
         if sel is None:
-            models.append(tuple(state.T))
+            found(tuple(state.T))
         else:
             i, j, c = sel
             stack.append((i, j, c, len(trail)))
@@ -543,9 +544,9 @@ def _squaring_classes(n: int):
 
 
 def _class_seeds(n: int):
-    """For each squaring class, the partial tables to search from.
+    """The partial tables to search from, one per squaring class.
 
-    Each holds the class's diagonal.  The zero diagonal, which leaves all of
+    Each holds its class's diagonal.  The zero diagonal, which leaves all of
     S_(n-1) as symmetry, also gets row 1: in an exponent-2 loop L_a swaps 0
     and a and moves every other point, so relabelling a to 1 and then
     conjugating by permutations that fix 0 and 1 reaches row 1 = (1, 0, d)
@@ -555,9 +556,9 @@ def _class_seeds(n: int):
         cells = list(blank)
         cells[:: n + 1] = sq
         if n & 1 or any(sq):
-            yield [PartialTable(n, tuple(cells))]
+            yield PartialTable(n, tuple(cells))
         else:
-            yield _exponent2_seeds(n, cells)
+            yield from _exponent2_seeds(n, cells)
 
 
 def _exponent2_seeds(n: int, cells: list):
@@ -643,9 +644,9 @@ class _Leftover:
         return False
 
 
-def _search_seed(pt: PartialTable, options: SearchOptions, stats: SearchStats, models: list, start: float):
-    """Append to ``models`` the cells of the seed's completions whose row a
-    is least (see the module docstring)."""
+def _search_seed(pt: PartialTable, options: SearchOptions, stats: SearchStats, found, start: float):
+    """Call ``found`` with the cells of each of the seed's completions whose
+    row a is least (see the module docstring)."""
     n = options.order
     tick = partial(_check_limits, options, stats, start, n)
     stats.nodes += 1
@@ -661,40 +662,41 @@ def _search_seed(pt: PartialTable, options: SearchOptions, stats: SearchStats, m
 
     def keep(cells):
         if not group.smaller(fixed, cells[row]):
-            _run(state, options, stats, models, start)
+            _run(state, options, stats, found, start)
 
-    _run(state, options, stats, SimpleNamespace(append=keep), start, partial(state.select_in, a))
+    _run(state, options, stats, keep, start, partial(state.select_in, a))
 
 
 def _class_representatives(options: SearchOptions, stats: SearchStats, start: float) -> list[MagmaTable]:
-    """The least form of each isomorphism class, searched one squaring class
-    at a time: loops in different squaring classes are never isomorphic."""
+    """The least form of each isomorphism class: every completion is keyed
+    by its least form as the search finds it."""
     n = options.order
     labellings = factorial(n - 1)
     tick = partial(_check_limits, options, stats, start, n)
+    forms = {}
+
+    def found(cells):
+        rows = [cells[i * n:(i + 1) * n] for i in range(n)]
+        row1 = _row1_cycles(rows)
+        # keep an exponent-2 completion (zero diagonal) only when its L_1
+        # gives the least row 1: the seed of each class's least cycle type
+        # finds one (McKay's canonical construction path)
+        if n & 1 or any(cells[:: n + 1]) or 1 in row1:
+            least, automorphisms = _least_form(rows, row1)
+            forms[least] = automorphisms
+        stats.completions += 1
+        if not stats.completions & 255:
+            tick()
+
+    for pt in _class_seeds(n):
+        _search_seed(pt, options, stats, found, start)
     reps = []
-    for seeds in _class_seeds(n):
-        raw: list = []
-        for pt in seeds:
-            _search_seed(pt, options, stats, raw, start)
-        stats.completions += len(raw)
-        tables = []
-        for k, cells in enumerate(raw, 1):
-            rows = [cells[i * n:(i + 1) * n] for i in range(n)]
-            # keep an exponent-2 completion (zero diagonal) only when its L_1
-            # gives the least row 1: the seed of each class's least cycle
-            # type finds one (McKay's canonical construction path)
-            if n & 1 or any(cells[:: n + 1]) or 1 in _row1_cycles(rows):
-                # the engine keeps every line Latin and 0 the identity, and a
-                # least form relabels a loop fixing 0: neither needs build_magma
-                table = MagmaTable(n, rows, "loop")
-                if not (options.nonassociative_only and check(table, "associative")):
-                    tables.append(table)
-            if not k & 255:
-                tick()
-        for table in classify_up_to_iso(tables, tick):
-            rows, automorphisms = _least_form(table.rows)
+    for rows, automorphisms in forms.items():
+        # associativity is an isomorphism invariant, so the least form
+        # decides it for the class
+        if not (options.nonassociative_only and _associativity_witness(rows, range(n)) is None):
             stats.models_found += labellings // automorphisms
+            # a least form relabels a loop fixing 0: no need for build_magma
             reps.append(MagmaTable(n, rows, "loop"))
     return reps
 

@@ -475,17 +475,17 @@ def _row1_cycles(rows) -> dict:
     return found
 
 
-def _least_form(rows):
+def _least_form(rows, row1=None):
     """The least rows over every identity-fixing relabelling of the loop
     ``rows``, and the number of relabellings that give them: |Aut L|.
 
-    Row 1 is fixed by ``_row1_cycles``, so the branching is over which b is
-    relabelled 1, then which unused cycle of L_b of the next length comes
-    next and where it starts.  After each cycle, the relabelled table is
-    compared with the best so far in row-major order from row 2, up to a
-    cell whose column has no label yet.  A product with no label will get
-    one at least the next free label, so a branch is cut when the best
-    table's cell is smaller.  The leaves that tie with the best are its
+    Row 1 is fixed by ``_row1_cycles`` (``row1``, when the caller has it),
+    so the branching is over which b is relabelled 1, then which unused
+    cycle of L_b of the next length comes next and where it starts.  After
+    each cycle, the relabelled table is compared with the best so far in
+    row-major order from row 2, up to a cell whose column has no label yet.
+    A product with no label will get one at least the next free label, so a
+    branch is cut when the best table's cell is smaller.  The leaves that tie with the best are its
     automorphisms.  Once the subtree of the b that gave the best table is
     done, a later b with one tie is its image under an automorphism and
     holds as many ties, so they are counted and its subtree is left."""
@@ -550,7 +550,7 @@ def _least_form(rows):
                 pi[x] = -1
         return False
 
-    for b, cycles in _row1_cycles(rows).items():
+    for b, cycles in (row1 or _row1_cycles(rows)).items():
         pi[:] = [-1] * n
         for t, x in enumerate(cycles[0]):
             pi[x], inv[t] = t, x
@@ -560,12 +560,9 @@ def _least_form(rows):
     return tuple(tuple(best[i * n : i * n + n]) for i in range(n)), count
 
 
-def classify_up_to_iso(models, progress=None) -> list[MagmaTable]:
+def classify_up_to_iso(models) -> list[MagmaTable]:
     """One representative per isomorphism class: its lexicographically least
-    member, representatives sorted the same way.
-
-    ``progress``, when given, is called after every 256 models; an exception
-    it raises stops the classification."""
+    member, representatives sorted the same way."""
     models = sorted(models, key=lambda m: m.rows)
     orders = {m.order for m in models}
     if len(orders) > 1:
@@ -574,15 +571,13 @@ def classify_up_to_iso(models, progress=None) -> list[MagmaTable]:
         _require_loop(m, "classify_up_to_iso")
     buckets: dict = {}
     reps: list = []
-    for k, m in enumerate(models, 1):
+    for m in models:
         rows = m.rows
         keys = _element_keys(rows)
         bucket = buckets.setdefault(tuple(sorted(keys)), [])
         if all(_match(rows, keys, r, r_keys) is None for r, r_keys in bucket):
             bucket.append((rows, keys))
             reps.append(m)
-        if progress is not None and not k & 255:
-            progress()
     return reps
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jordanloops.cli import run
-from jordanloops.constructions import even_jordan
+from jordanloops.constructions import construct, even_jordan
 from jordanloops.search import (
     PartialTable,
     SearchIncomplete,
@@ -333,7 +333,7 @@ def test_labelled_engine_deeper_than_recursion_limit():
     options = SearchOptions(order=64, require_jordan=False, node_limit=5000)
     stats = SearchStats()
     with pytest.raises(SearchIncomplete, match="node limit 5000 hit"):
-        _run(_State(64, False), options, stats, [], time.monotonic())
+        _run(_State(64, False), options, stats, [].append, time.monotonic())
     assert stats.nodes == 5001
 
 
@@ -483,6 +483,29 @@ class TestClassPath:
         classes, stats = enumerate_loops(SearchOptions(order=9, up_to_iso=True))
         assert (stats.models_found, stats.models_after_iso) == (7560, 2)
 
+    def test_order11_census(self):
+        classes, stats = enumerate_loops(SearchOptions(order=11, up_to_iso=True))
+        associative = [c for c in classes if check(c, "associative")]
+        assert (len(classes), len(associative), stats.models_found) == (7, 1, 6168960)
+        assert find_isomorphism(associative[0], cyclic_group(11)) is not None
+        assert sum(find_isomorphism(c, construct(11)) is not None for c in classes) == 1
+
+    @pytest.mark.slow
+    def test_order10_census(self, capsys):
+        """The exponent-2 classes are the one-factorisations of K_10 with a
+        marked vertex (see test_exponent2_classes_are_one_factorisations):
+        1,225,566,720 labelled (OEIS A000438), 396 up to isomorphism
+        (Gelling 1973)."""
+        assert run(["search", "--order", "10", "--up-to-iso"]) == 0
+        out = capsys.readouterr().out
+        assert "models=1237813920 classes=3536 " in out
+        classes = parse_tables(out)
+        assert len(classes) == 3536
+        exponent2 = [c for c in classes if not any(c.rows[x][x] for x in range(10))]
+        assert sum(factorial(9) // _least_form(c.rows)[1] for c in exponent2) == 1225566720
+        assert _one_factorisations(exponent2) == 396
+        assert build_magma(10, _least_form(construct(10).rows)[0], "loop") in classes
+
     def test_result_limit_cuts_sorted_classes(self):
         full, _ = enumerate_loops(SearchOptions(order=8, up_to_iso=True))
         cut, stats = enumerate_loops(SearchOptions(order=8, up_to_iso=True, result_limit=5))
@@ -527,8 +550,8 @@ NOT_CANONICAL = (
 
 
 class TestExponent2Filter:
-    """The class path classifies an exponent-2 completion only when 1 is
-    among the b whose L_b gives the least row 1."""
+    """The class path keys an exponent-2 completion by its least form only
+    when 1 is among the b whose L_b gives the least row 1."""
 
     def test_row1_rule(self):
         xor = [[x ^ y for y in range(8)] for x in range(8)]  # every L_b is four 2-cycles
@@ -539,32 +562,59 @@ class TestExponent2Filter:
 
     def test_order8_completions_kept(self):
         raw = []
-        for seeds in _class_seeds(8):
-            seeds = list(seeds)
-            if not any(seeds[0].cells[::9]):
-                for pt in seeds:
-                    _search_seed(pt, SearchOptions(8), SearchStats(), raw, time.monotonic())
+        for pt in _class_seeds(8):
+            if not any(pt.cells[::9]):
+                _search_seed(pt, SearchOptions(8), SearchStats(), raw.append, time.monotonic())
         kept = [build_magma(8, [c[i:i + 8] for i in range(0, 64, 8)], "loop") for c in raw]
         kept = [t for t in kept if 1 in _row1_cycles(t.rows)]
         assert (len(raw), len(kept)) == (54, 22)
         assert len(classify_up_to_iso(kept)) == 7
 
     def test_class_path_classifies_the_kept_completions(self, monkeypatch):
-        sizes = []
+        calls = []
 
-        def spy(models, progress=None):
-            sizes.append(len(models))
-            assert all(build_magma(8, m.rows, "loop") == m for m in models)  # frozen unchecked
-            return classify_up_to_iso(models, progress)
+        def spy(rows, row1=None):
+            calls.append(1)
+            build_magma(8, rows, "loop")  # the completions are keyed unchecked
+            return _least_form(rows, row1)
 
-        monkeypatch.setattr("jordanloops.search.classify_up_to_iso", spy)
+        monkeypatch.setattr("jordanloops.search._least_form", spy)
         classes, stats = enumerate_loops(SearchOptions(order=8, up_to_iso=True))
         assert classes == ORDER8_CLASSES
-        assert (stats.completions, sum(sizes)) == (81, 22 + 81 - 54)
+        assert (stats.completions, len(calls)) == (81, 22 + 81 - 54)
+
+
+def _one_factorisations(classes) -> int:
+    """The number of groups the exponent-2 ``classes``, given by their least
+    forms, fall into when the identity moves to each vertex v, by
+    x o y = v\\(x*y) and then swapping v and 0."""
+    n = classes[0].order
+    index = {c.rows: k for k, c in enumerate(classes)}
+    parent = list(range(len(classes)))
+
+    def root(k):
+        while parent[k] != k:
+            k = parent[k]
+        return k
+
+    for k, c in enumerate(classes):
+        rows = c.rows
+        for v in range(1, n):
+            swap = list(range(n))
+            swap[0], swap[v] = v, 0
+            divide = [0] * n  # divide[z] = v\z
+            for y in range(n):
+                divide[rows[v][y]] = y
+            moved = [[0] * n for _ in range(n)]
+            for x in range(n):
+                for y in range(n):
+                    moved[swap[x]][swap[y]] = swap[divide[rows[x][y]]]
+            parent[root(index[_least_form(moved)[0]])] = root(k)
+    return sum(parent[k] == k for k in range(len(classes)))
 
 
 def _seeds(order):
-    return [pt for seeds in _class_seeds(order) for pt in seeds]
+    return list(_class_seeds(order))
 
 
 @lru_cache(maxsize=None)
@@ -594,7 +644,7 @@ class TestSymmetryBreaking:
             assert orbit == group_orbits(group, order)
             for require_jordan in (True, False):
                 rows.clear()
-                _search_seed(pt, SearchOptions(order, require_jordan), SearchStats(), [], time.monotonic())
+                _search_seed(pt, SearchOptions(order, require_jordan), SearchStats(), [].append, time.monotonic())
                 for row, least in rows:
                     assert least == least_under_stabiliser(group, row)
                     a = row[0]  # the filled row is row a
@@ -613,20 +663,7 @@ class TestSymmetryBreaking:
         classes = [c for c in classes_of(8, True) if not any(c.rows[x][x] for x in range(8))]
         assert len(classes) == 7
         assert sum(factorial(7) // _least_form(c.rows)[1] for c in classes) == 6240
-        index = {c.rows: k for k, c in enumerate(classes)}
-        group = list(range(7))
-        for k, c in enumerate(classes):
-            rows = c.rows
-            for v in range(1, 8):
-                swap = list(range(8))
-                swap[0], swap[v] = v, 0
-                moved = [[0] * 8 for _ in range(8)]
-                for x in range(8):
-                    for y in range(8):
-                        moved[swap[x]][swap[y]] = swap[rows[v].index(rows[x][y])]
-                other = index[_least_form(moved)[0]]
-                group = [group[k] if g == group[other] else g for g in group]
-        assert len(set(group)) == 6
+        assert _one_factorisations(classes) == 6
 
     def test_budget_holds_on_a_large_leftover_group(self):
         # the diagonal (0,0,1,...,1) leaves 2..11 free to permute: 10! elements
@@ -637,7 +674,7 @@ class TestSymmetryBreaking:
         assert _Leftover(pt, lambda: None).orbits() == [0, 1] + [2] * (n - 2)
         start = time.monotonic()
         try:
-            _search_seed(pt, SearchOptions(order=n, time_budget=1), SearchStats(), [], start)
+            _search_seed(pt, SearchOptions(order=n, time_budget=1), SearchStats(), [].append, start)
         except SearchIncomplete:
             pass
         assert time.monotonic() - start < 1.5
@@ -812,12 +849,6 @@ class TestClassification:
         shuffled = list(models)
         random.Random(8).shuffle(shuffled)
         assert classify_up_to_iso(shuffled) == ORDER8_CLASSES
-
-    def test_reports_progress_every_256_models(self, searched):
-        models = searched(6, False)[0] + searched(6)[0]
-        calls = []
-        assert classify_up_to_iso(models, lambda: calls.append(1)) == classify_up_to_iso(models)
-        assert len(calls) == len(models) // 256 == 2
 
     def test_representatives_sorted(self, searched):
         models, _ = searched(6)
