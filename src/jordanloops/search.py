@@ -6,7 +6,8 @@ Latin singles, commutativity mirroring, and Jordan-identity triggers, and
 applies a parity fact: in a commutative quasigroup every symbol occurs on
 the diagonal with the parity of the order.  At odd order ``assign`` keeps
 the diagonal a bijection; at even order ``process_queue`` refutes a diagonal
-whose free cells cannot give every symbol an even count.
+whose free cells cannot give every symbol an even count.  An instance
+with x*x = 0 reads y*x on both sides, so it is never evaluated.
 
 The engine records each fact once: the trail of assignments doubles as the
 propagation queue, and the diagonal of the table as the squaring map.
@@ -20,18 +21,22 @@ that keep its set cells: the row of the least element a of a largest
 G-orbit is filled first, and a filled row is searched on only when no
 element of G fixing a gives it a smaller image.  Every completion has such
 an image, itself a completion and isomorphic to it (McKay, "Isomorph-free
-exhaustive generation", J. Algorithms 26, 1998).
+exhaustive generation", J. Algorithms 26, 1998).  A seed with a zero
+diagonal, whose row 1 is seeded once per cycle type of L_1, also leaves a
+node as soon as a filled row x gives L_x a smaller cycle key than L_1: each
+exponent-2 class is still found, from the seed of the least key of its L_b,
+with 1 naming such a b.
 Each completion is keyed by its least relabelling, which also gives
-|Aut L|, as soon as it is found (of the exponent-2 ones, only those whose
-L_1 gives the least row 1): one dictionary of least forms holds the
+|Aut L|, as soon as it is found: one dictionary of least forms holds the
 classes, and the labelled models are counted as the sum of (n-1)!/|Aut L|.
 With ``up_to_iso`` the least forms are the output; without it each is
-expanded into all its identity-fixing relabellings.  The engine can also
-run from the blank table over every labelling; the tests keep that as the
-slow reference.
+expanded into all its identity-fixing relabellings, up to
+``LISTING_LIMIT`` tables.  The engine can also run from the blank table
+over every labelling; the tests keep that as the slow reference.
 """
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -44,10 +49,16 @@ from .tables import (  # classify_up_to_iso is re-exported for callers of this m
     _check_int,
     _check_order,
     _least_form,
-    _row1_cycles,
+    _perm_cycles,
     build_magma,
     classify_up_to_iso,
 )
+
+
+# The labelled listing holds every table it lists: 120-140 bytes a table at
+# orders 8 and 9 (README, Limits), so about 0.2 GB at this cap, which orders
+# 1-9 stay far below and orders 10 and 11 exceed.
+LISTING_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -67,6 +78,7 @@ class SearchOptions:
 class SearchStats:
     """``nodes`` counts the states visited, the root and complete tables
     included; ``failures`` the candidates that assign or propagation refuted.
+    A state the row-1 cut leaves is a node but not a failure.
 
     Both count the seeded trees of the squaring classes, with or without
     ``up_to_iso``: each seed is one node, and a failure when propagation
@@ -74,7 +86,8 @@ class SearchStats:
     each filled row kept, add their own nodes and failures.  At order 9
     that is 936 nodes, against 224,743 for the labelled tree from the blank
     table.  ``completions`` counts the tables the seeds completed, each
-    before it is filtered and keyed by its least form.  ``models_found`` is
+    keyed by its least form; the exponent-2 seeds complete only those their
+    row-1 cut keeps (49 of 81 at order 8).  ``models_found`` is
     the sum of (n-1)!/|Aut L| over the classes kept, the number of labelled
     models."""
 
@@ -292,27 +305,30 @@ class _State:
         T = self.T
         pos = self.pos
         qi = mark
+        # an instance with x*x = 0 reads y*x on both sides, so it is never
+        # evaluated; a and b are never 0, so neither is a square in by_sq[a]
         while qi < len(trail):
-            a, b, _ = trail[qi]
+            a, b, v = trail[qi]
             qi += 1
             if require_jordan:
                 if a == b:
-                    for y in range(1, n):
-                        if not check_instance(a, y):
-                            return False
-                elif not check_instance(a, b) or not check_instance(b, a):
+                    if v:
+                        for y in range(1, n):
+                            if not check_instance(a, y):
+                                return False
+                elif (T[a * n + a] > 0 and not check_instance(a, b)) or (
+                    T[b * n + b] > 0 and not check_instance(b, a)
+                ):
                     return False
                 for s0, c in ((a, b), (b, a)):
                     for x in by_sq[s0]:
-                        if x == 0:
-                            continue
                         if not check_instance(x, c):
                             return False
                         y = pos[x][c]
                         if y > 0 and not check_instance(x, y):
                             return False
                     sc = T[c * n + c]
-                    if sc >= 0:
+                    if sc > 0:
                         y = pos[sc][s0]
                         if y > 0 and not check_instance(c, y):
                             return False
@@ -412,28 +428,32 @@ def _check_limits(options: SearchOptions, stats: SearchStats, start: float, n: i
     raise SearchIncomplete(f"{spent} hit before the order-{n} space was exhausted", stats)
 
 
-def _run(state: _State, options: SearchOptions, stats: SearchStats, found, start: float, select=None):
+def _run(state: _State, options: SearchOptions, stats: SearchStats, found, start: float, select=None, cut=None):
     """Depth-first search on an explicit stack of (i, j, remaining candidates,
     trail mark) frames, so depth is not bounded by the recursion limit.
     ``select`` (``state.select`` by default) gives each decision cell, and
-    ``found`` is called with the cells of each state where it gives None."""
+    ``found`` is called with the cells of each state where it gives None.
+    A state where ``cut(mark)`` holds, mark being the trail's length before
+    the state's own assignments, is counted as a node and left."""
     select = select or state.select
     node_limit = options.node_limit
     time_budget = options.time_budget
     trail = state.trail
     stack = []
+    mark = len(trail)
     while True:
         stats.nodes += 1
         if (node_limit is not None and stats.nodes > node_limit) or (
             time_budget is not None and not stats.nodes & 255
         ):
             _check_limits(options, stats, start, state.n)
-        sel = select()
-        if sel is None:
-            found(tuple(state.T))
-        else:
-            i, j, c = sel
-            stack.append((i, j, c, len(trail)))
+        if cut is None or not cut(mark):
+            sel = select()
+            if sel is None:
+                found(tuple(state.T))
+            else:
+                i, j, c = sel
+                stack.append((i, j, c, len(trail)))
         # backtrack to the next candidate that propagates cleanly
         while stack:
             i, j, c, mark = stack.pop()
@@ -575,13 +595,16 @@ class _Leftover:
     """The leftover group G of a seed: the relabellings fixing 0 that map its
     set cells onto themselves, which is the centraliser of the seed's map f,
     its squaring map or, when that is zero, its row 1.  G is never listed: a
-    partial relabelling pi (-1 where unset) is extended one forced chain at
-    a time, and every step of a backtrack calls ``tick``."""
+    partial relabelling ``pi`` (-1 where unset), with its inverse ``inv``,
+    is extended in place one forced chain at a time and restored from an
+    undo trail; every 256th step of a backtrack calls ``tick``.  Each
+    method leaves ``pi`` as it found it."""
 
     def __init__(self, pt: PartialTable, tick):
         n, diagonal = pt.order, pt.cells[:: pt.order + 1]
         self.f = f = diagonal if any(diagonal) or n == 1 else pt.cells[n : 2 * n]
-        self.n, self.tick, self.blank = n, tick, [0] + [-1] * (n - 1)
+        self.n, self.tick, self.steps, self.trail = n, tick, 0, []
+        self.pi, self.inv = [0] + [-1] * (n - 1), [0] + [-1] * (n - 1)
         # an element only maps to one of its colour: split colours by the
         # colours of f(x) and of the preimages of x until none splits
         pre = [[y for y in range(n) if f[y] == x] for x in range(n)]
@@ -591,62 +614,121 @@ class _Leftover:
             keys = [(colour[x], colour[f[x]], *sorted(colour[y] for y in pre[x])) for x in range(n)]
             rank = {key: r for r, key in enumerate(sorted(set(keys)))}
             self.colour = [rank[key] for key in keys]
+        # the candidate images of x, in increasing order
+        self.peers = [[y for y in range(1, n) if self.colour[y] == self.colour[x]] for x in range(n)]
 
-    def extend(self, pi: list, x: int, y: int):
-        """A copy of pi that also maps x to y, f(x) to f(y) and so on, or
-        None on a conflict."""
-        pi, f, colour = pi[:], self.f, self.colour
+    def extend(self, x: int, y: int) -> bool:
+        """Also map x to y, f(x) to f(y) and so on; False on a conflict,
+        which leaves the maps made so far for ``undo``."""
+        pi, inv, f, colour, trail = self.pi, self.inv, self.f, self.colour, self.trail
         while pi[x] < 0:
-            if y in pi or colour[x] != colour[y]:
-                return None
-            pi[x] = y
+            if inv[y] >= 0 or colour[x] != colour[y]:
+                return False
+            pi[x], inv[y] = y, x
+            trail.append(x)
             x, y = f[x], f[y]
-        return pi if pi[x] == y else None
+        return pi[x] == y
 
-    def complete(self, pi: list) -> bool:
+    def undo(self, mark: int):
+        """Unmap the elements mapped since the trail had length ``mark``."""
+        pi, inv, trail = self.pi, self.inv, self.trail
+        while len(trail) > mark:
+            x = trail.pop()
+            inv[pi[x]] = -1
+            pi[x] = -1
+
+    def step(self):
+        """Count a step of a backtrack; every 256th calls ``tick``."""
+        self.steps += 1
+        if not self.steps & 255:
+            self.tick()
+
+    def complete(self, g: int = 1) -> bool:
         """Whether an element of G extends pi: each image of the least
-        unmapped element is tried in turn."""
-        self.tick()
-        if -1 not in pi:
+        unmapped element, g or after it, is tried in turn."""
+        self.step()
+        pi, n = self.pi, self.n
+        while g < n and pi[g] >= 0:
+            g += 1
+        if g == n:
             return True
-        g = pi.index(-1)
-        return any(self.complete(q) for q in (self.extend(pi, g, y) for y in range(1, self.n)) if q)
+        mark, inv = len(self.trail), self.inv
+        for y in self.peers[g]:
+            if inv[y] < 0:
+                found = self.extend(g, y) and self.complete(g + 1)
+                self.undo(mark)
+                if found:
+                    return True
+        return False
 
     def orbits(self) -> list:
         """The least element of each element's G-orbit."""
         orbit = list(range(self.n))
         for y in range(2, self.n):
-            for x in range(1, y):
-                q = orbit[x] == x and self.extend(self.blank, x, y)
-                if q and self.complete(q):
+            for x in self.peers[y]:
+                if x == y:
+                    break
+                found = orbit[x] == x and self.extend(x, y) and self.complete()
+                self.undo(0)
+                if found:
                     orbit[y] = x
                     break
         return orbit
 
-    def smaller(self, pi: list, row, k: int = 1) -> bool:
+    def smaller(self, row, k: int = 1) -> bool:
         """Whether an element φ of G extending pi gives ``row`` a smaller
         image, (φ·row)[φ(j)] = φ(row[j]), given that the image agrees with
         ``row`` before position k.  The image is built position by position:
         position k names its preimage j, then row[j] its image, and a branch
         ends once the image is larger."""
-        self.tick()
+        self.step()
         if k == self.n:
             return False
-        for j in [pi.index(k)] if k in pi else [j for j in range(self.n) if pi[j] < 0]:
-            p = self.extend(pi, j, k)
-            if p is None:
-                continue
-            v = row[j]
-            for t in [p[v]] if p[v] >= 0 else range(row[k] + 1):
-                q = self.extend(p, v, t)
-                if q and (t < row[k] and self.complete(q) or t == row[k] and self.smaller(q, row, k + 1)):
-                    return True
+        pi, inv, trail, rk = self.pi, self.inv, self.trail, row[k]
+        mark = len(trail)
+        for j in [inv[k]] if inv[k] >= 0 else [j for j in self.peers[k] if pi[j] < 0]:
+            if self.extend(j, k):
+                v = row[j]
+                inner = len(trail)
+                for t in [pi[v]] if pi[v] >= 0 else self.peers[v]:
+                    if t > rk:
+                        break
+                    if self.extend(v, t) and (t < rk and self.complete() or t == rk and self.smaller(row, k + 1)):
+                        self.undo(mark)
+                        return True
+                    self.undo(inner)
+            self.undo(mark)
         return False
+
+
+def _row1_cut(state: _State):
+    """For a seed with a zero diagonal, a ``cut`` for ``_run``: whether a row
+    x filled since the mark gives L_x a smaller cycle key than L_1 (the key
+    of ``_row1_cycles``), so that no completion below has L_1 give the least
+    row 1 (see the module docstring).  None when L_1 has only 2-cycles, as
+    no key is smaller."""
+    n, T, free, trail = state.n, state.T, state.free, state.trail
+    key = list(map(len, _perm_cycles(T[n : 2 * n])))
+    if max(key) == 2:
+        return None
+
+    def beats(x):
+        return not free[x] and list(map(len, _perm_cycles(T[x * n : x * n + n]))) < key
+
+    def cut(mark):
+        for k in range(mark, len(trail)):
+            i, j, _ = trail[k]
+            if beats(i) or beats(j):
+                return True
+        return False
+
+    return cut
 
 
 def _search_seed(pt: PartialTable, options: SearchOptions, stats: SearchStats, found, start: float):
     """Call ``found`` with the cells of each of the seed's completions whose
-    row a is least (see the module docstring)."""
+    row a is least and, for a zero diagonal, whose L_1 gives the least row 1
+    (see the module docstring)."""
     n = options.order
     tick = partial(_check_limits, options, stats, start, n)
     stats.nodes += 1
@@ -658,13 +740,17 @@ def _search_seed(pt: PartialTable, options: SearchOptions, stats: SearchStats, f
     group = _Leftover(pt, tick)
     orbit = group.orbits()
     a = max(range(1, n), key=lambda x: (orbit.count(orbit[x]), -x), default=0)
-    fixed, row = group.extend(group.blank, a, a), slice(a * n, a * n + n)
+    group.extend(a, a)
+    row = slice(a * n, a * n + n)
+    cut = _row1_cut(state) if n > 1 and not any(pt.cells[:: n + 1]) else None
+    if cut is not None and cut(0):
+        return
 
     def keep(cells):
-        if not group.smaller(fixed, cells[row]):
-            _run(state, options, stats, found, start)
+        if not group.smaller(cells[row]):
+            _run(state, options, stats, found, start, cut=cut)
 
-    _run(state, options, stats, keep, start, partial(state.select_in, a))
+    _run(state, options, stats, keep, start, partial(state.select_in, a), cut)
 
 
 def _class_representatives(options: SearchOptions, stats: SearchStats, start: float) -> list[MagmaTable]:
@@ -676,14 +762,8 @@ def _class_representatives(options: SearchOptions, stats: SearchStats, start: fl
     forms = {}
 
     def found(cells):
-        rows = [cells[i * n:(i + 1) * n] for i in range(n)]
-        row1 = _row1_cycles(rows)
-        # keep an exponent-2 completion (zero diagonal) only when its L_1
-        # gives the least row 1: the seed of each class's least cycle type
-        # finds one (McKay's canonical construction path)
-        if n & 1 or any(cells[:: n + 1]) or 1 in row1:
-            least, automorphisms = _least_form(rows, row1)
-            forms[least] = automorphisms
+        least, automorphisms = _least_form([cells[i * n:(i + 1) * n] for i in range(n)])
+        forms[least] = automorphisms
         stats.completions += 1
         if not stats.completions & 255:
             tick()
@@ -755,15 +835,27 @@ def _check_options(options: SearchOptions):
 
 def _labelled(options: SearchOptions) -> tuple[list[bytes], SearchStats]:
     """The labelled listing of ``enumerate_loops``, each model as the bytes of
-    its n*n cells: the classes it lists with ``up_to_iso``, expanded by ``_orbit``."""
+    its n*n cells: the classes it lists with ``up_to_iso``, expanded by
+    ``_orbit``.  A listing of more than ``LISTING_LIMIT`` tables is refused
+    once the class search has counted them, unless ``result_limit`` is 0,
+    which expands nothing."""
     _check_options(options)
     start = time.monotonic()
     reps, stats = enumerate_loops(replace(options, up_to_iso=True, result_limit=None))
+    # orbits of distinct classes are disjoint, each of (n-1)!/|Aut L| tables
+    stats.models_after_iso = stats.models_found
+    limit = options.result_limit
+    if limit != 0 and stats.models_found > LISTING_LIMIT:
+        raise ValueError(
+            f"the order-{options.order} labelled listing would hold {stats.models_found} tables "
+            f"in memory, more than LISTING_LIMIT = {LISTING_LIMIT}; use --up-to-iso, "
+            "or --limit 0 for the counts alone"
+        )
     tick = partial(_check_limits, options, stats, start, options.order)
-    raw = sorted(cells for rep in reps for cells in _orbit(rep.rows, tick))
-    stats.models_after_iso = len(raw)
+    tables = (cells for rep in reps for cells in _orbit(rep.rows, tick))
+    raw = sorted(tables) if limit is None else heapq.nsmallest(limit, tables)
     stats.seconds = time.monotonic() - start
-    return raw[: options.result_limit], stats
+    return raw, stats
 
 
 def enumerate_loops(options: SearchOptions) -> tuple[list[MagmaTable], SearchStats]:

@@ -6,7 +6,7 @@ identity at index 0.
 """
 from __future__ import annotations
 
-from operator import eq
+from operator import eq, itemgetter
 
 Element = int
 Permutation = tuple[int, ...]
@@ -454,19 +454,9 @@ def _row1_cycles(rows) -> dict:
     0 first, then the others, shortest first.  That row lists the cycles in
     this order, each labelled in turn along itself, so it is least when the
     cycle through 0 is shortest and then the lengths of the others are."""
-    n = len(rows)
     least, found = None, {}
-    for b in range(1, n):
-        rb, seen, cycles = rows[b], [False] * n, []
-        for x in range(n):
-            cycle = []
-            while not seen[x]:
-                seen[x] = True
-                cycle.append(x)
-                x = rb[x]
-            if cycle:
-                cycles.append(cycle)
-        cycles[1:] = sorted(cycles[1:], key=len)
+    for b in range(1, len(rows)):
+        cycles = _perm_cycles(rows[b])
         key = list(map(len, cycles))
         if least is None or key < least:
             least, found = key, {}
@@ -475,89 +465,153 @@ def _row1_cycles(rows) -> dict:
     return found
 
 
-def _least_form(rows, row1=None):
+def _perm_cycles(perm) -> list:
+    """The cycles of the permutation ``perm`` of 0..n-1: the one through 0
+    first, then the others, shortest first."""
+    seen, cycles = [False] * len(perm), []
+    for x in range(len(perm)):
+        cycle = []
+        while not seen[x]:
+            seen[x] = True
+            cycle.append(x)
+            x = perm[x]
+        if cycle:
+            cycles.append(cycle)
+    cycles[1:] = sorted(cycles[1:], key=len)
+    return cycles
+
+
+def _least_form(rows):
     """The least rows over every identity-fixing relabelling of the loop
     ``rows``, and the number of relabellings that give them: |Aut L|.
 
-    Row 1 is fixed by ``_row1_cycles`` (``row1``, when the caller has it),
-    so the branching is over which b is relabelled 1, then which unused
-    cycle of L_b of the next length comes next and where it starts.  After
-    each cycle, the relabelled table is compared with the best so far in
-    row-major order from row 2, up to a cell whose column has no label yet.
-    A product with no label will get one at least the next free label, so a
-    branch is cut when the best table's cell is smaller.  The leaves that tie with the best are its
-    automorphisms.  Once the subtree of the b that gave the best table is
-    done, a later b with one tie is its image under an automorphism and
-    holds as many ties, so they are counted and its subtree is left."""
+    Row 1 is fixed by ``_row1_cycles``, so the branching is over which b is
+    relabelled 1, then which unused cycle of L_b of the next length comes
+    next and where it starts.  After each cycle, the relabelled table is
+    compared with the best so far in row-major order from row 2, up to a
+    cell whose column has no label yet.  A product with no label will get
+    one at least the next free label, so a branch is cut when the best
+    table's cell is smaller.  When the cycle of that product has the next
+    length, only labelling it next, from the product on, gives the cell
+    that label, so no other cycle or start is tried there.
+
+    The leaves that tie with the best are its automorphisms, and each is
+    kept.  A branch that one of them, fixing the labels given so far, maps
+    an explored sibling onto holds as many ties as that sibling, so they
+    are counted and the branch is left; so is a later b at its first tie,
+    which maps it onto the b that gave the best table."""
     n = len(rows)
     if n == 1:
         return ((0,),), 1
     pi, inv = [-1] * n, [-1] * n
-    best = None  # cells of the least table so far, row-major
-    count = root = root_count = 0
+    best = best_inv = None  # the least table so far, as rows of bytes, and its labels' elements
+    count = root = root_count = version = 0  # version counts the best tables met
+    automorphisms = []  # as lists of images
 
     def compare(p, k):
-        """The first cell from p on left open by labels 0..k-1, or -1 when
-        the table exceeds the best there; the best is dropped (None) when
-        the table is smaller."""
+        """The first cell from p on in its row left open by labels 0..k-1, or
+        -1 when the table exceeds the best there; the best is dropped (None)
+        when the table is smaller."""
         nonlocal best
         i, j = divmod(p, n)
-        while i < k:
+        if i < k:
             ri = rows[inv[i]]
             while j < k:
                 v = pi[ri[inv[j]]]
                 if v < 0:
-                    return -1 if best is not None and best[i * n + j] < k else i * n + j
-                if best is not None and v != best[i * n + j]:
-                    if v > best[i * n + j]:
+                    return -1 if best is not None and best[i][j] < k else i * n + j
+                if best is not None and v != best[i][j]:
+                    if v > best[i][j]:
                         return -1
                     best = None
                 j += 1
-            if k < n:
-                return i * n + j
-            i, j = i + 1, 0
-        return i * n
+        return i * n + j
+
+    def known(x, done, k):
+        """Whether an automorphism found so far, fixing labels 0..k-1, maps
+        the first element of a sibling in ``done`` onto x; its ties are then
+        counted for x's branch (none when the best has changed since)."""
+        nonlocal count
+        fixed = inv[:k]
+        gens = [a for a in automorphisms if list(map(a.__getitem__, fixed)) == fixed]
+        orbit, todo = {x}, [x]
+        while todo:
+            y = todo.pop()
+            for a in gens:
+                if a[y] not in orbit:
+                    orbit.add(a[y])
+                    todo.append(a[y])
+        for start, ties, v in done:
+            if start in orbit:
+                count += ties if v == version else 0
+                return True
+        return False
 
     def label(cycles, d, k, p):
         """Label the unused cycles, one of each length in cycles[d:] in
         turn, from label k on, the cells before p equal to the best; True
         when the subtree is left on an automorphism."""
-        nonlocal best, count, root
+        nonlocal best, best_inv, count, root, version
+        if k == n:
+            # whole rows from p's on, each relabelled by one translate
+            get, relabel = itemgetter(*inv), bytes(pi).ljust(256)
+            if best is not None:
+                for i in range(p // n, n):
+                    row = bytes(get(rows[inv[i]])).translate(relabel)
+                    if row != best[i]:
+                        if row > best[i]:
+                            return False
+                        best = None
+                        break
+            if best is None:
+                best, best_inv = [bytes(get(rows[a])).translate(relabel) for a in inv], inv[:]
+                count, root, version = 1, inv[1], version + 1
+                return False
+            automorphisms.append([best_inv[v] for v in pi])
+            if root != inv[1]:
+                count += root_count
+                return True
+            count += 1
+            return False
         p = compare(p, k)
         if p < 0:
             return False
-        if k == n:
-            if best is None:
-                best = [pi[rows[a][c]] for a in inv for c in inv]
-                count, root = 1, inv[1]
-            elif root != inv[1]:
-                count += root_count
-                return True
-            else:
-                count += 1
-            return False
         size = len(cycles[d])
-        for cycle in cycles:
+        i, j = divmod(p, n)
+        z = rows[inv[i]][inv[j]] if i < k and j < k else 0
+        forced = pi[z] < 0 and len(home[z]) == size
+        done = []  # (first element, ties, version) of each sibling searched
+        for cycle in [home[z]] if forced else cycles:
             if len(cycle) != size or pi[cycle[0]] >= 0:
                 continue
-            for s in range(size):
+            for s in [cycle.index(z)] if forced else range(size):
+                if done and automorphisms and known(cycle[s], done, k):
+                    continue
+                before, old = count, version
                 for t in range(size):
                     x = cycle[(s + t) % size]
                     pi[x], inv[k + t] = k + t, x
                 if label(cycles, d + 1, k + size, p):
                     return True
+                done.append((cycle[s], count - before if version == old else count, version))
             for x in cycle:
                 pi[x] = -1
         return False
 
-    for b, cycles in (row1 or _row1_cycles(rows)).items():
+    done = []
+    for b, cycles in _row1_cycles(rows).items():
+        if done and automorphisms and known(b, done, 1):
+            continue
+        before, old = count, version
         pi[:] = [-1] * n
+        home = {x: cycle for cycle in cycles for x in cycle}
         for t, x in enumerate(cycles[0]):
             pi[x], inv[t] = t, x
         label(cycles, 1, len(cycles[0]), 2 * n)
+        done.append((b, count - before if version == old else count, version))
         if root == b:
             root_count = count
-    return tuple(tuple(best[i * n : i * n + n]) for i in range(n)), count
+    return tuple(map(tuple, best)), count
 
 
 def classify_up_to_iso(models) -> list[MagmaTable]:

@@ -473,3 +473,25 @@ def least_form_reference(rows):
         return ((0,),), 1
     scan(1, 1)
     return best, count
+
+
+def row1_is_least(rows) -> bool:
+    """The filter the class search once applied to each exponent-2
+    completion after finding it: whether no left translation L_b has cycle
+    lengths (the one through 0 first, the others ascending) below those of
+    L_1, cycle by cycle from the first."""
+    n = len(rows)
+
+    def key(b):
+        lengths, seen = [], set()
+        for x in range(n):
+            length = 0
+            while x not in seen:
+                seen.add(x)
+                x = rows[b][x]
+                length += 1
+            if length:
+                lengths.append(length)
+        return [lengths[0], *sorted(lengths[1:])]
+
+    return key(1) == min(key(b) for b in range(1, n))

@@ -48,6 +48,7 @@ from oracle import (
     orbit_reference,
     output_digest,
     relabel,
+    row1_is_least,
     seed_group,
 )
 
@@ -315,6 +316,30 @@ def test_propagate_on_seeded_cuts(searched, data):
     assert propagate(out).cells == out.cells
 
 
+@settings(max_examples=60)
+@given(data=st.data())
+def test_zero_square_instances_are_idle(data):
+    """An instance with x*x = 0 reads y*x on both sides, so propagation
+    never evaluates one.  On partial tables cut from even-order completions,
+    the diagonal kept, evaluating it never assigns and never refutes."""
+    order = data.draw(st.sampled_from([4, 6, 8]))
+    base = data.draw(st.sampled_from(classes_of(order, True)))
+    model = relabel(base, [0] + data.draw(st.permutations(range(1, order))))
+    state = _State(order, True)
+    for i in range(1, order):
+        for j in range(i, order):
+            if i == j or data.draw(st.booleans()):
+                assert state.assign(i, j, model.rows[i][j])
+    # at even order 0 sits on the diagonal an even number of times
+    zero = [x for x in range(1, order) if model.rows[x][x] == 0]
+    assert zero
+    for x in zero:
+        for y in range(order):
+            mark = len(state.trail)
+            assert state.check_instance(x, y)
+            assert len(state.trail) == mark
+
+
 @pytest.mark.parametrize("order,require_jordan", sorted(TREE_SHAPES))
 def test_search_tree_shape(searched, order, require_jordan):
     _, stats = searched(order, require_jordan)
@@ -491,14 +516,23 @@ class TestClassPath:
         assert sum(find_isomorphism(c, construct(11)) is not None for c in classes) == 1
 
     @pytest.mark.slow
-    def test_order10_census(self, capsys):
+    def test_order10_census(self, capsys, monkeypatch):
         """The exponent-2 classes are the one-factorisations of K_10 with a
         marked vertex (see test_exponent2_classes_are_one_factorisations):
         1,225,566,720 labelled (OEIS A000438), 396 up to isomorphism
         (Gelling 1973)."""
+        completions = []
+
+        def spy(rows):
+            completions.append(1)
+            return _least_form(rows)
+
+        monkeypatch.setattr("jordanloops.search._least_form", spy)
         assert run(["search", "--order", "10", "--up-to-iso"]) == 0
+        monkeypatch.undo()
         out = capsys.readouterr().out
-        assert "models=1237813920 classes=3536 " in out
+        assert "# nodes=1157580 failures=214803 models=1237813920 classes=3536 " in out
+        assert len(completions) == 29011
         classes = parse_tables(out)
         assert len(classes) == 3536
         exponent2 = [c for c in classes if not any(c.rows[x][x] for x in range(10))]
@@ -520,11 +554,13 @@ class TestClassPath:
 
 # (nodes, failures, completions) of the class path, which breaks each
 # seed's leftover symmetry; without that step order 8 takes 2,714 nodes and
-# 406 completions, and order 9 1,728 nodes.
+# 406 completions, and order 9 1,728 nodes.  The exponent-2 seeds also cut a
+# node once a filled row beats L_1's cycle key; filtering their completions
+# afterwards instead took 1,556 nodes and 81 completions at order 8.
 CLASS_WORK = {
     6: (37, 10, 2),
     7: (53, 35, 5),
-    8: (1556, 602, 81),
+    8: (1429, 602, 49),
     9: (936, 1113, 2),
 }
 
@@ -550,8 +586,9 @@ NOT_CANONICAL = (
 
 
 class TestExponent2Filter:
-    """The class path keys an exponent-2 completion by its least form only
-    when 1 is among the b whose L_b gives the least row 1."""
+    """The exponent-2 seeds cut a node once a filled row x gives L_x a
+    smaller cycle key than L_1, so every completion they find has 1 among
+    the b whose L_b gives the least row 1."""
 
     def test_row1_rule(self):
         xor = [[x ^ y for y in range(8)] for x in range(8)]  # every L_b is four 2-cycles
@@ -559,29 +596,41 @@ class TestExponent2Filter:
         table = build_magma(8, NOT_CANONICAL, "loop")
         assert check(table, "jordan") and check(table, "exponent-two")
         assert _row1_cycles(NOT_CANONICAL) == {2: [[0, 2], [1, 3], [4, 6], [5, 7]]}
+        assert not row1_is_least(NOT_CANONICAL) and row1_is_least(xor)
 
-    def test_order8_completions_kept(self):
-        raw = []
-        for pt in _class_seeds(8):
-            if not any(pt.cells[::9]):
-                _search_seed(pt, SearchOptions(8), SearchStats(), raw.append, time.monotonic())
-        kept = [build_magma(8, [c[i:i + 8] for i in range(0, 64, 8)], "loop") for c in raw]
-        kept = [t for t in kept if 1 in _row1_cycles(t.rows)]
-        assert (len(raw), len(kept)) == (54, 22)
-        assert len(classify_up_to_iso(kept)) == 7
+    @pytest.mark.parametrize("order", [6, 8])
+    def test_cut_keeps_the_filtered_completions(self, order, monkeypatch):
+        """The completions the cut keeps are, as a set, those the filter
+        after completion kept (``oracle.row1_is_least``)."""
+        found, kept, classes = {6: (1, 1, 1), 8: (54, 22, 7)}[order]
+
+        def completions():
+            raw = []
+            for pt in _class_seeds(order):
+                if not any(pt.cells[:: order + 1]):
+                    _search_seed(pt, SearchOptions(order), SearchStats(), raw.append, time.monotonic())
+            return [tuple(c[i : i + order] for i in range(0, order * order, order)) for c in raw]
+
+        cut = completions()
+        monkeypatch.setattr("jordanloops.search._row1_cut", lambda state: None)
+        uncut = completions()
+        filtered = [rows for rows in uncut if row1_is_least(rows)]
+        assert (len(uncut), len(filtered), len(cut)) == (found, kept, kept)
+        assert set(cut) == set(filtered) and len(set(cut)) == kept
+        assert len(classify_up_to_iso([build_magma(order, rows, "loop") for rows in cut])) == classes
 
     def test_class_path_classifies_the_kept_completions(self, monkeypatch):
         calls = []
 
-        def spy(rows, row1=None):
+        def spy(rows):
             calls.append(1)
             build_magma(8, rows, "loop")  # the completions are keyed unchecked
-            return _least_form(rows, row1)
+            return _least_form(rows)
 
         monkeypatch.setattr("jordanloops.search._least_form", spy)
         classes, stats = enumerate_loops(SearchOptions(order=8, up_to_iso=True))
         assert classes == ORDER8_CLASSES
-        assert (stats.completions, len(calls)) == (81, 22 + 81 - 54)
+        assert (stats.completions, len(calls)) == (49, 49)
 
 
 def _one_factorisations(classes) -> int:
@@ -630,8 +679,10 @@ class TestSymmetryBreaking:
         smaller = _Leftover.smaller
         rows = []
 
-        def spy(self, pi, row, k=1):
-            found = smaller(self, pi, row, k)
+        def spy(self, row, k=1):
+            pi = self.pi[:]
+            found = smaller(self, row, k)
+            assert self.pi == pi  # relabelled in place and restored
             if k == 1:
                 rows.append((tuple(row), not found))
             return found
@@ -799,6 +850,37 @@ class TestLabelledListing:
         footer = (f"# nodes={stats.nodes} failures={stats.failures} models={stats.models_found} "
                   f"classes={stats.models_after_iso} seconds=\n")
         assert out == "".join(serialize_table(t) + "\n" for t in tables) + footer
+
+    def test_cli_limit_prints_a_prefix(self, monkeypatch, capsys):
+        """``--limit k`` prints the first k tables of the full listing and
+        the same footer; ``--limit 0`` expands no orbit."""
+        assert run(["search", "--order", "8"]) == 0
+        full = re.sub(r"seconds=[\d.]+", "seconds=", capsys.readouterr().out)
+        for limit in (0, 1, 5):
+            if limit == 0:
+                monkeypatch.setattr("jordanloops.search._orbit", None)
+            assert run(["search", "--order", "8", "--limit", str(limit)]) == 0
+            out = re.sub(r"seconds=[\d.]+", "seconds=", capsys.readouterr().out)
+            body, footer = out.rsplit("# nodes=", 1)
+            assert len(parse_tables(body)) == limit and full.startswith(body)
+            assert full.endswith("# nodes=" + footer)
+            monkeypatch.undo()
+
+    def test_listing_past_the_cap_is_refused(self, monkeypatch, capsys):
+        """Past ``LISTING_LIMIT`` tables the listing exits 2 before it
+        expands any orbit; the counts alone and a listing at the cap run."""
+        monkeypatch.setattr("jordanloops.search.LISTING_LIMIT", 25979)
+        with pytest.raises(ValueError, match="would hold 25980 tables"):
+            enumerate_loops(SearchOptions(order=8))
+        monkeypatch.setattr("jordanloops.search._orbit", None)
+        assert run(["search", "--order", "8", "--limit", "3"]) == 2
+        assert "more than LISTING_LIMIT = 25979" in capsys.readouterr().err
+        assert run(["search", "--order", "8", "--limit", "0"]) == 0
+        assert "models=25980 classes=25980 " in capsys.readouterr().out
+        monkeypatch.undo()
+        monkeypatch.setattr("jordanloops.search.LISTING_LIMIT", 25980)
+        tables, stats = enumerate_loops(SearchOptions(order=8))
+        assert len(tables) == stats.models_after_iso == 25980
 
 
 @settings(max_examples=30)
