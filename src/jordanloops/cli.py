@@ -13,7 +13,7 @@ import itertools
 import sys
 
 from . import constructions, powers, structure
-from .search import SearchIncomplete, SearchOptions, _labelled, enumerate_loops
+from .search import SearchIncomplete, SearchOptions, _labelled
 from .tables import (
     PROPERTY_TAGS,
     MagmaTable,
@@ -23,7 +23,6 @@ from .tables import (
     find_counterexample,
     find_isomorphism,
     parse_tables,
-    serialize_table,
 )
 
 
@@ -99,13 +98,7 @@ def _cmd_search(args) -> int:
         result_limit=args.limit,
     )
     try:
-        if options.up_to_iso:
-            models, stats = enumerate_loops(options)
-            texts = (serialize_table(t) + "\n" for t in models)
-        else:
-            raw, stats = _labelled(options)
-            text = _cells_text(options.order)
-            texts = (text(*raw[k : k + 256]) for k in range(0, len(raw), 256))
+        raw, stats = _labelled(options)
     except SearchIncomplete as exc:
         print(
             f"# nodes={exc.stats.nodes} failures={exc.stats.failures} "
@@ -116,6 +109,8 @@ def _cmd_search(args) -> int:
         f"# nodes={stats.nodes} failures={stats.failures} models={stats.models_found} "
         f"classes={stats.models_after_iso} seconds={stats.seconds:.3f}\n"
     )
+    text = _cells_text(options.order)
+    texts = (text(*raw[k : k + 256]) for k in range(0, len(raw), 256))
     _emit(itertools.chain(texts, [footer]), args.out)
     return 0
 

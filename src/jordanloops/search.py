@@ -40,7 +40,8 @@ import heapq
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
-from math import factorial
+from math import factorial, inf
+from numbers import Real
 
 from .tables import (  # classify_up_to_iso is re-exported for callers of this module
     MagmaTable,
@@ -353,7 +354,6 @@ class _State:
         maps that propagation cannot refute until later cells are set."""
         n = self.n
         free = self.free
-        T = self.T
         line = -1
         best_count = n + 1
         for i in range(1, n):
@@ -416,7 +416,7 @@ def propagate(pt: PartialTable, require_jordan: bool = True) -> PartialTable | N
     return None if state is None else PartialTable(pt.order, tuple(state.T))
 
 
-def _check_limits(options: SearchOptions, stats: SearchStats, start: float, n: int):
+def _check_limits(options: SearchOptions, stats: SearchStats, start: float):
     """Raise SearchIncomplete once the node limit or the time budget is spent."""
     if options.node_limit is not None and stats.nodes > options.node_limit:
         spent = f"node limit {options.node_limit}"
@@ -425,28 +425,26 @@ def _check_limits(options: SearchOptions, stats: SearchStats, start: float, n: i
     else:
         return
     stats.seconds = time.monotonic() - start
-    raise SearchIncomplete(f"{spent} hit before the order-{n} space was exhausted", stats)
+    raise SearchIncomplete(f"{spent} hit before the order-{options.order} space was exhausted", stats)
 
 
-def _run(state: _State, options: SearchOptions, stats: SearchStats, found, start: float, select=None, cut=None):
+def _run(state: _State, options: SearchOptions, stats: SearchStats, found, tick, select=None, cut=None):
     """Depth-first search on an explicit stack of (i, j, remaining candidates,
     trail mark) frames, so depth is not bounded by the recursion limit.
-    ``select`` (``state.select`` by default) gives each decision cell, and
-    ``found`` is called with the cells of each state where it gives None.
+    ``select`` (``state.select`` by default) gives each decision cell,
+    ``found`` is called with the cells of each state where it gives None,
+    and ``tick`` on every 256th node and on each node past the node limit.
     A state where ``cut(mark)`` holds, mark being the trail's length before
     the state's own assignments, is counted as a node and left."""
     select = select or state.select
-    node_limit = options.node_limit
-    time_budget = options.time_budget
+    node_limit = inf if options.node_limit is None else options.node_limit
     trail = state.trail
     stack = []
     mark = len(trail)
     while True:
         stats.nodes += 1
-        if (node_limit is not None and stats.nodes > node_limit) or (
-            time_budget is not None and not stats.nodes & 255
-        ):
-            _check_limits(options, stats, start, state.n)
+        if stats.nodes > node_limit or not stats.nodes & 255:
+            tick()
         if cut is None or not cut(mark):
             sel = select()
             if sel is None:
@@ -725,12 +723,11 @@ def _row1_cut(state: _State):
     return cut
 
 
-def _search_seed(pt: PartialTable, options: SearchOptions, stats: SearchStats, found, start: float):
+def _search_seed(pt: PartialTable, options: SearchOptions, stats: SearchStats, found, tick):
     """Call ``found`` with the cells of each of the seed's completions whose
     row a is least and, for a zero diagonal, whose L_1 gives the least row 1
     (see the module docstring)."""
     n = options.order
-    tick = partial(_check_limits, options, stats, start, n)
     stats.nodes += 1
     tick()
     state = _seeded(pt, options.require_jordan)
@@ -748,28 +745,26 @@ def _search_seed(pt: PartialTable, options: SearchOptions, stats: SearchStats, f
 
     def keep(cells):
         if not group.smaller(cells[row]):
-            _run(state, options, stats, found, start, cut=cut)
+            _run(state, options, stats, found, tick, cut=cut)
 
-    _run(state, options, stats, keep, start, partial(state.select_in, a), cut)
+    _run(state, options, stats, keep, tick, partial(state.select_in, a), cut)
 
 
-def _class_representatives(options: SearchOptions, stats: SearchStats, start: float) -> list[MagmaTable]:
+def _class_representatives(options: SearchOptions, stats: SearchStats, tick) -> list[MagmaTable]:
     """The least form of each isomorphism class: every completion is keyed
-    by its least form as the search finds it."""
+    by its least form as the search finds it, and then calls ``tick``."""
     n = options.order
     labellings = factorial(n - 1)
-    tick = partial(_check_limits, options, stats, start, n)
     forms = {}
 
     def found(cells):
         least, automorphisms = _least_form([cells[i * n:(i + 1) * n] for i in range(n)])
         forms[least] = automorphisms
         stats.completions += 1
-        if not stats.completions & 255:
-            tick()
+        tick()
 
     for pt in _class_seeds(n):
-        _search_seed(pt, options, stats, found, start)
+        _search_seed(pt, options, stats, found, tick)
     reps = []
     for rows, automorphisms in forms.items():
         # associativity is an isomorphism invariant, so the least form
@@ -829,30 +824,36 @@ def _check_options(options: SearchOptions):
         limit = getattr(options, name)
         if limit is not None and name != "time_budget":
             _check_int(limit, name)
+        elif isinstance(limit, bool) or not isinstance(limit, Real | None):
+            raise ValidationError(f"time_budget must be a real number, got {limit!r}")
         if limit is not None and not limit >= 0:  # also rejects a NaN budget
             raise ValueError(f"{name} must be non-negative, got {limit}")
 
 
 def _labelled(options: SearchOptions) -> tuple[list[bytes], SearchStats]:
-    """The labelled listing of ``enumerate_loops``, each model as the bytes of
-    its n*n cells: the classes it lists with ``up_to_iso``, expanded by
-    ``_orbit``.  A listing of more than ``LISTING_LIMIT`` tables is refused
-    once the class search has counted them, unless ``result_limit`` is 0,
-    which expands nothing."""
+    """The listing of ``enumerate_loops``, each table as the bytes of its n*n
+    cells: the class representatives with ``up_to_iso``, and without it
+    their relabellings, expanded by ``_orbit``.  A labelled listing of more
+    than ``LISTING_LIMIT`` tables is refused once the class search has
+    counted them, unless ``result_limit`` is 0, which expands nothing."""
     _check_options(options)
     start = time.monotonic()
+    # keep this call: bench/tracing.py times the search layer as search.enumerate_loops
     reps, stats = enumerate_loops(replace(options, up_to_iso=True, result_limit=None))
-    # orbits of distinct classes are disjoint, each of (n-1)!/|Aut L| tables
-    stats.models_after_iso = stats.models_found
     limit = options.result_limit
-    if limit != 0 and stats.models_found > LISTING_LIMIT:
-        raise ValueError(
-            f"the order-{options.order} labelled listing would hold {stats.models_found} tables "
-            f"in memory, more than LISTING_LIMIT = {LISTING_LIMIT}; use --up-to-iso, "
-            "or --limit 0 for the counts alone"
-        )
-    tick = partial(_check_limits, options, stats, start, options.order)
-    tables = (cells for rep in reps for cells in _orbit(rep.rows, tick))
+    if options.up_to_iso:
+        tables = (bytes(v for row in rep.rows for v in row) for rep in reps)
+    else:
+        # orbits of distinct classes are disjoint, each of (n-1)!/|Aut L| tables
+        stats.models_after_iso = stats.models_found
+        if limit != 0 and stats.models_found > LISTING_LIMIT:
+            raise ValueError(
+                f"the order-{options.order} labelled listing would hold {stats.models_found} tables "
+                f"in memory, more than LISTING_LIMIT = {LISTING_LIMIT}; use --up-to-iso, "
+                "or --limit 0 for the counts alone"
+            )
+        tick = partial(_check_limits, options, stats, start)
+        tables = (cells for rep in reps for cells in _orbit(rep.rows, tick))
     raw = sorted(tables) if limit is None else heapq.nsmallest(limit, tables)
     stats.seconds = time.monotonic() - start
     return raw, stats
@@ -875,7 +876,8 @@ def enumerate_loops(options: SearchOptions) -> tuple[list[MagmaTable], SearchSta
     _check_options(options)
     stats = SearchStats()
     start = time.monotonic()
-    tables = sorted(_class_representatives(options, stats, start), key=lambda t: t.rows)
+    tick = partial(_check_limits, options, stats, start)
+    tables = sorted(_class_representatives(options, stats, tick), key=lambda t: t.rows)
     stats.models_after_iso = len(tables)
     stats.seconds = time.monotonic() - start
     return tables[: options.result_limit], stats

@@ -68,7 +68,7 @@ def labelled_reference(order: int, require_jordan: bool):
     stats = SearchStats()
     raw: list = []
     start = time.monotonic()
-    _run(_State(order, require_jordan), SearchOptions(order, require_jordan), stats, raw.append, start)
+    _run(_State(order, require_jordan), SearchOptions(order, require_jordan), stats, raw.append, lambda: None)
     raw.sort()
     tables = [build_magma(order, [c[i * order:(i + 1) * order] for i in range(order)], "loop") for c in raw]
     stats.models_found = stats.models_after_iso = len(tables)

@@ -122,6 +122,22 @@ class TestSearch:
         assert len(parse_tables(out)) == 1
         assert "models=6" in out and "classes=1" in out
 
+    @pytest.mark.parametrize("iso", [[], ["--up-to-iso"]])
+    def test_search_layer_runs_once(self, iso, monkeypatch, capsys):
+        """Both listings reach the class search through one
+        ``enumerate_loops`` call, the name the benchmark's tracer times."""
+        calls = []
+        real = jordanloops.search.enumerate_loops
+
+        def spy(options):
+            calls.append(options)
+            return real(options)
+
+        monkeypatch.setattr("jordanloops.search.enumerate_loops", spy)
+        assert run(["search", "--order", "6", *iso]) == 0
+        assert len(calls) == 1 and calls[0].up_to_iso
+        assert "classes=" in capsys.readouterr().out
+
     def test_no_jordan_superset(self, capsys):
         assert run(["search", "--order", "5", "--no-jordan"]) == 0
         out = capsys.readouterr().out

@@ -2,7 +2,7 @@ import itertools
 import random
 import re
 import time
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial
 from pathlib import Path
 
@@ -17,6 +17,7 @@ from jordanloops.search import (
     SearchIncomplete,
     SearchOptions,
     SearchStats,
+    _check_limits,
     _class_seeds,
     _Leftover,
     _orbit,
@@ -358,7 +359,7 @@ def test_labelled_engine_deeper_than_recursion_limit():
     options = SearchOptions(order=64, require_jordan=False, node_limit=5000)
     stats = SearchStats()
     with pytest.raises(SearchIncomplete, match="node limit 5000 hit"):
-        _run(_State(64, False), options, stats, [].append, time.monotonic())
+        _run(_State(64, False), options, stats, [].append, partial(_check_limits, options, stats, time.monotonic()))
     assert stats.nodes == 5001
 
 
@@ -441,6 +442,8 @@ class TestEnumerate:
             {"order": 6, "result_limit": True},
             {"order": 6, "node_limit": True},
             {"order": 6, "node_limit": 2.5},
+            {"order": 6, "time_budget": "1"},
+            {"order": 6, "time_budget": True},
         ],
     )
     def test_non_int_arguments_rejected(self, fields):
@@ -608,7 +611,7 @@ class TestExponent2Filter:
             raw = []
             for pt in _class_seeds(order):
                 if not any(pt.cells[:: order + 1]):
-                    _search_seed(pt, SearchOptions(order), SearchStats(), raw.append, time.monotonic())
+                    _search_seed(pt, SearchOptions(order), SearchStats(), raw.append, lambda: None)
             return [tuple(c[i : i + order] for i in range(0, order * order, order)) for c in raw]
 
         cut = completions()
@@ -695,7 +698,7 @@ class TestSymmetryBreaking:
             assert orbit == group_orbits(group, order)
             for require_jordan in (True, False):
                 rows.clear()
-                _search_seed(pt, SearchOptions(order, require_jordan), SearchStats(), [].append, time.monotonic())
+                _search_seed(pt, SearchOptions(order, require_jordan), SearchStats(), [].append, lambda: None)
                 for row, least in rows:
                     assert least == least_under_stabiliser(group, row)
                     a = row[0]  # the filled row is row a
@@ -723,9 +726,9 @@ class TestSymmetryBreaking:
         cells[:: n + 1] = [0, 0] + [1] * (n - 2)
         pt = PartialTable(n, tuple(cells))
         assert _Leftover(pt, lambda: None).orbits() == [0, 1] + [2] * (n - 2)
-        start = time.monotonic()
+        options, stats, start = SearchOptions(order=n, time_budget=1), SearchStats(), time.monotonic()
         try:
-            _search_seed(pt, SearchOptions(order=n, time_budget=1), SearchStats(), [].append, start)
+            _search_seed(pt, options, stats, [].append, partial(_check_limits, options, stats, start))
         except SearchIncomplete:
             pass
         assert time.monotonic() - start < 1.5
@@ -821,14 +824,24 @@ class TestLabelledListing:
             assert _orbit(rows) == orbit_reference(rows)
 
     @pytest.mark.parametrize(
-        "argv", [["7"], ["8"], ["9"], ["8", "--nonassociative"], ["9", "--limit", "5"]], ids=" ".join
+        "argv",
+        [
+            ["7"], ["8"], ["9"], ["8", "--nonassociative"], ["9", "--limit", "5"],
+            ["8", "--up-to-iso"], ["9", "--up-to-iso"], ["7", "--up-to-iso", "--nonassociative", "--limit", "1"],
+        ],
+        ids=" ".join,
     )
     def test_cli_text_matches_serialized_listing(self, argv, capsys):
-        """The CLI writes the listing from cell bytes; this is its slow reference."""
+        """The CLI writes both listings from cell bytes; this is their slow reference."""
         assert run(["search", "--order", *argv]) == 0
         out = re.sub(r"seconds=[\d.]+", "seconds=", capsys.readouterr().out)
         order, flags = int(argv[0]), argv[1:]
-        if flags == ["--limit", "5"]:
+        if "--up-to-iso" in flags:
+            limit = int(flags[-1]) if "--limit" in flags else None
+            tables, stats = enumerate_loops(SearchOptions(
+                order=order, nonassociative_only="--nonassociative" in flags, up_to_iso=True, result_limit=limit
+            ))
+        elif flags == ["--limit", "5"]:
             tables, stats = enumerate_loops(SearchOptions(order=order, result_limit=5))
         else:
             tables, stats = listed(order, True, flags == ["--nonassociative"])
