@@ -11,16 +11,16 @@ from typing import Mapping, Sequence
 
 from .tables import (
     ORDER_LIMIT,
+    _LABELS,
     MagmaTable,
     Permutation,
-    _block_rows,
     _check_int,
     _check_order,
     _escaping_pair,
+    _freeze,
     _overlay,
     _require_loop,
     _require_quasigroup,
-    build_magma,
     check,
     cyclic_group,
     direct_product,
@@ -33,16 +33,19 @@ def antidiagonal_idempotent(n: int) -> MagmaTable:
         raise ValueError(f"averaging needs an odd modulus, got {n}")
     _check_order(n)
     inv2 = (n + 1) // 2
-    return build_magma(n, [[(a + b) * inv2 % n for b in range(n)] for a in range(n)], "quasigroup")
+    half = [_LABELS[b * inv2 % n] for b in range(n)]
+    # row a is half rotated by a, so a*b = half[a+b]: a Latin table
+    return _freeze(n, [half[a:] + half[:a] for a in range(n)], "quasigroup")
 
 
 def _adjoin_identity(rows):
     """Shift every element of ``rows`` up by one and put a new identity 0 in
     front.  Works in place, dropping each old row as it replaces it, and
-    shares one int object per value, so the new cells allocate no ints."""
-    succ = list(range(1, len(rows) + 1))
+    takes every cell from ``_LABELS``, so the new cells allocate no ints."""
+    _check_order(len(rows) + 1)
+    succ = _LABELS[1:len(rows) + 1]
     for i, row in enumerate(rows):
-        rows[i] = [succ[i], *[succ[v] for v in row]]
+        rows[i] = [succ[i], *map(succ.__getitem__, row)]
     rows.insert(0, [0, *succ])
     return rows
 
@@ -60,7 +63,8 @@ def idempotent_to_exp2(q: MagmaTable) -> MagmaTable:
     rows = _adjoin_identity(list(q.rows))
     for i in range(1, len(rows)):
         rows[i][i] = 0
-    return build_magma(len(rows), rows, "loop")
+    # row i+1 holds i+1 in column 0, 0 on the diagonal and i*j+1 != i+1 elsewhere
+    return _freeze(len(rows), rows, "loop")
 
 
 def exp2_to_idempotent(l: MagmaTable) -> MagmaTable:
@@ -72,11 +76,12 @@ def exp2_to_idempotent(l: MagmaTable) -> MagmaTable:
         if not check(l, prop):
             raise ValueError(f"input loop is not {prop}")
     m = l.order - 1
-    rows = [
-        [i if i == j else l.rows[i + 1][j + 1] - 1 for j in range(m)]
-        for i in range(m)
-    ]
-    return build_magma(m, rows, "quasigroup")
+    pred = [0, *_LABELS[:m]]
+    rows = [[pred[v] for v in row[1:]] for row in l.rows[1:]]
+    for i in range(m):
+        rows[i][i] = pred[i + 1]
+    # x*y != 0 off the diagonal of a commutative exponent-2 loop
+    return _freeze(m, rows, "quasigroup")
 
 
 def even_jordan(n: int) -> MagmaTable:
@@ -145,7 +150,22 @@ def quasigroup_amalgam(group: MagmaTable, blocks: Mapping[tuple[int, int], Magma
             _require_quasigroup(q, f"block ({g},{h})")
     n = s * k
     _check_order(n)
-    return build_magma(n, _block_rows(group.rows, s, lambda g, h: blocks[g, h].rows), "quasigroup")
+    rows = _lay_blocks([[0] * n for _ in range(n)], group.rows, s, lambda g, h: blocks[g, h].rows)
+    # G is Latin, so each row and column meets every block of values once, in a Latin block
+    return _freeze(n, rows, "quasigroup")
+
+
+def _lay_blocks(rows, outer, s: int, block, off: int = 0):
+    """Lay the block product of ``tables._block_rows`` over ``rows``, past
+    ``off`` leading rows and columns, with the rows ``block(g, h)`` for the
+    pair (g, h): their symbol v stands for the v-th element of g*h's block,
+    and -1 for 0."""
+    for g, grow in enumerate(outer):
+        for h, gh in enumerate(grow):
+            seg = [*_LABELS[off + s * gh:off + s * gh + s], 0]
+            for a, brow in enumerate(block(g, h)):
+                rows[off + a + s * g][off + s * h:off + s * h + s] = map(seg.__getitem__, brow)
+    return rows
 
 
 def _amalgam_rows(spec: AmalgamSpec, c: Sequence[int]):
@@ -153,20 +173,15 @@ def _amalgam_rows(spec: AmalgamSpec, c: Sequence[int]):
     every other block (g, h) the quasigroup for (g, h)."""
     g_tab = spec.group.rows
     s = spec.carrier_size
-    _check_order(s * len(g_tab) + 1)
+    m = s * len(g_tab)
+    _check_order(m + 1)
     quasis = spec.block_quasigroups
-    rows = _adjoin_identity(
-        _block_rows(g_tab, s, lambda g, h: None if h == c[g] else quasis[g, h].rows))
-    for g, h in enumerate(c):
-        lrows = spec.diagonal_loops[g].rows
-        base = s * g_tab[g][h]
-        for a in range(s):
-            target = rows[1 + a + s * g]
-            lrow = lrows[a + 1]
-            for b in range(s):
-                u = lrow[b + 1]
-                target[1 + b + s * h] = 0 if u == 0 else u + base
-    return rows
+    # element u of L_g is carrier element u - 1, so its identity becomes -1
+    loops = [[[u - 1 for u in row[1:]] for row in spec.diagonal_loops[g].rows[1:]]
+             for g in range(len(g_tab))]
+    # the identity's row and column around a blank table, then every block
+    return _lay_blocks(_adjoin_identity([[0] * m for _ in range(m)]), g_tab, s,
+                       lambda g, h: loops[g] if h == c[g] else quasis[g, h].rows, 1)
 
 
 def adjoin_identity_with_bijection(spec: AmalgamSpec, c: Permutation) -> MagmaTable:
@@ -179,7 +194,8 @@ def adjoin_identity_with_bijection(spec: AmalgamSpec, c: Permutation) -> MagmaTa
     if sorted(c) != list(range(k)):
         raise ValueError(f"c must be a bijection on 0..{k - 1}")
     spec.validate((g, h) for g in range(k) for h in range(k) if h != c[g])
-    return build_magma(spec.carrier_size * k + 1, _amalgam_rows(spec, c), "magma")
+    # a magma asks only for shape and range, which _amalgam_rows keeps
+    return _freeze(spec.carrier_size * k + 1, _amalgam_rows(spec, c), "magma")
 
 
 def loop_amalgam(spec: AmalgamSpec) -> MagmaTable:
@@ -188,7 +204,8 @@ def loop_amalgam(spec: AmalgamSpec) -> MagmaTable:
     spec.validate((g, h) for g in range(k) for h in range(k) if h != g)
     if not check(spec.group, "idempotent"):
         raise ValueError("outer quasigroup must be idempotent for the amalgam to be a loop")
-    return build_magma(spec.carrier_size * k + 1, _amalgam_rows(spec, range(k)), "loop")
+    # G idempotent: g*h = g only at h = g, where L_g and column 0 cover g's block and 0
+    return _freeze(spec.carrier_size * k + 1, _amalgam_rows(spec, range(k)), "loop")
 
 
 def guaranteed_jordan_conditions(g: MagmaTable, l: MagmaTable, q: MagmaTable) -> bool:
@@ -256,10 +273,12 @@ def union_of_groups(group: MagmaTable, parts: Sequence, quasis: Sequence[MagmaTa
             raise ValueError(f"quasigroup {idx} must have order {len(p) - 1}")
         if not check(q, "jordan"):
             raise ValueError(f"quasigroup {idx} is not a Jordan quasigroup")
-    rows = [[v - 1 for v in grow[1:]] for grow in group.rows[1:]]
+    pred = [None, *_LABELS[:n - 1]]
+    rows = [[pred[v] for v in grow[1:]] for grow in group.rows[1:]]
     for p, q in zip(parts, quasis):
-        _overlay(rows, q.rows, [e - 1 for e in p[1:]])
-    return build_magma(n - 1, rows, "quasigroup")
+        _overlay(rows, q.rows, [pred[e] for e in p[1:]])
+    # row x takes G minus x's part from the group and the rest from x's quasigroup
+    return _freeze(n - 1, rows, "quasigroup")
 
 
 @dataclass(frozen=True)
@@ -303,8 +322,9 @@ def replace_subquasigroups(pq: PartitionedQuasigroup, loops: Mapping[int, MagmaT
             raise ValueError(f"replacement {idx} must be a loop of order {len(block) + 1}")
     rows = _adjoin_identity(list(pq.table.rows))
     for idx, block in enumerate(pq.blocks):
-        _overlay(rows, loops[idx].rows, (0, *(e + 1 for e in block)))
-    return build_magma(len(rows), rows, "loop")
+        _overlay(rows, loops[idx].rows, [0, *(_LABELS[e + 1] for e in block)])
+    # a closed block's rows leave it outside the block; its loop covers it and 0
+    return _freeze(len(rows), rows, "loop")
 
 
 def odd_jordan(n: int) -> MagmaTable:
@@ -407,17 +427,17 @@ def hyper_extend(a: MagmaTable) -> MagmaTable:
         raise ValueError(f"order must be 2^n - 1, got {m}")
     n = 2 * m + 1
     _check_order(n)
-    mask = m  # n-bit all-ones
-    rows = []
-    for i in range(m):
-        arow = a.rows[i]
-        rows.append([arow[j] for j in range(m)] + [m + (i ^ v) for v in range(m + 1)])
+    cube = _LABELS[m:n]  # cube[v] is label [v]; m is ~0, the n-bit all-ones
+    flip = _LABELS[m::-1]  # flip[w] is the A element ~w, for w != 0
+    rows = [None] * n
     for u in range(m + 1):
-        row = [m + (u ^ j) for j in range(m)]
-        for v in range(m + 1):
-            row.append(m + (mask ^ u) if u == v else mask ^ u ^ v)
-        rows.append(row)
-    return build_magma(n, rows, "loop")
+        xor = [u ^ v for v in range(m + 1)]
+        if u < m:
+            rows[u] = [*a.rows[u], *map(cube.__getitem__, xor)]
+        rows[m + u] = [*map(cube.__getitem__, xor[:m]), *map(flip.__getitem__, xor)]
+        rows[m + u][m + u] = cube[m ^ u]
+    # v -> x xor v and v -> ~(u xor v) are bijections: a Latin table with identity 0
+    return _freeze(n, rows, "loop")
 
 
 def jordan_tower(depth: int) -> MagmaTable:
@@ -431,7 +451,7 @@ def jordan_tower(depth: int) -> MagmaTable:
     top = (ORDER_LIMIT + 1).bit_length() - 2  # largest depth with 2^(depth+1) - 1 <= ORDER_LIMIT
     if not 0 <= depth <= top:
         raise ValueError(f"depth must be in 0..{top} (the supported table size), got {depth}")
-    t = build_magma(1, [[0]], "loop")
+    t = cyclic_group(1)
     for _ in range(depth):
         t = hyper_extend(t)
     return t

@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .tables import (
+    _LABELS,
     MagmaTable,
     Permutation,
     _associativity_witness,
@@ -17,10 +18,10 @@ from .tables import (
     _check_element,
     _check_int,
     _check_order,
+    _freeze,
     _overlay,
     _product_closure,
     _require_loop,
-    build_magma,
     cyclic_group,
 )
 
@@ -200,8 +201,9 @@ def powers_gap_loop(m: int, n: int) -> tuple[MagmaTable, int]:
     params = powers_gap_params(m, n)
     s = params.s
     zn, zs = cyclic_group(n).rows, cyclic_group(s).rows
-    rows = _block_rows(zs, n, lambda g, h: zn)
+    rows = _block_rows(zs, n, zn)
     # phi carries the twisted addition to Z_s, so laying Z_s over the elements
     # (0, u) listed in order of phi(u) gives (0,u)*(0,v) = (0, u o v)
-    _overlay(rows, zs, [n * u for u in sorted(range(s), key=params.phi.__getitem__)])
-    return build_magma(n * s, rows, "loop"), 1 + n
+    _overlay(rows, zs, [_LABELS[n * u] for u in sorted(range(s), key=params.phi.__getitem__)])
+    # the overlay is a relabelled Z_s on the elements (0, u), so rows stay Latin
+    return _freeze(n * s, rows, "loop"), 1 + n

@@ -6,6 +6,7 @@ identity at index 0.
 """
 from __future__ import annotations
 
+from itertools import chain
 from operator import eq, itemgetter
 
 Element = int
@@ -25,11 +26,16 @@ PROPERTY_TAGS = (
 
 KINDS = ("magma", "quasigroup", "loop")
 
-# Rows are tuples of Python ints, so memory grows with the square of the
-# order.  The built table sets the peak RSS, as the CLI streams its output:
-# 899 MB for `construct --order 4095` and 787 MB for `tower --depth 11` on
-# CPython 3.11 (README, Limits); twice the order would not fit in 4 GB.
+# Rows are tuples of pointers to one int per label, so memory grows with the
+# square of the order.  The built tables set the peak RSS, as the CLI streams
+# its output: 274 MB for `construct --order 4095`, 181 MB for `tower --depth
+# 11` and 160 MB for `gap-loop --m 1360 --n 3` on CPython 3.11 (README,
+# Limits); twice the order would take about four times as much.
 ORDER_LIMIT = 1 << 12
+
+# The one int object of each label: builders index this list rather than
+# compute a cell, so a built table costs a pointer a cell, not an int.
+_LABELS = list(range(ORDER_LIMIT))
 
 
 class ValidationError(ValueError):
@@ -100,6 +106,15 @@ def build_magma(order: int, rows, kind: str = "magma") -> MagmaTable:
                 if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < order:
                     raise ValidationError(f"cell ({i},{j}) value {v!r} out of range 0..{order - 1}")
     return _check_kind(table)
+
+
+def _freeze(order: int, rows: list, kind: str) -> MagmaTable:
+    """Freeze rows that are valid by construction, without ``build_magma``'s
+    checks.  Takes ownership of ``rows``, whose rows nothing else holds: each
+    row becomes a tuple in place, so no second copy of the table is alive."""
+    for i, row in enumerate(rows):
+        rows[i] = tuple(row)
+    return MagmaTable(order, rows, kind)
 
 
 def _check_kind(table: MagmaTable) -> MagmaTable:
@@ -297,25 +312,19 @@ def _product_closure(rows, members):
 
 def opposite(table: MagmaTable) -> MagmaTable:
     """The transposed table: x *' y = y*x."""
-    n = table.order
-    rows = table.rows
-    return build_magma(n, [[rows[j][i] for j in range(n)] for i in range(n)], table.kind)
+    # the transpose of a Latin table is Latin, and 0 stays a two-sided identity
+    return _freeze(table.order, list(zip(*table.rows)), table.kind)
 
 
 def _block_rows(outer, s: int, block):
-    """Rows of the block product on pairs (a, g), pair encoded a + s*g:
-    (a,g)(b,h) = (a *_{g,h} b, g*h), where ``outer`` holds the rows of the
-    outer table and ``block(g, h)`` the rows of *_{g,h} on 0..s-1.  A block
-    given as None stays 0."""
-    zero = ((0,) * s,) * s
-    rows = []
-    for g, grow in enumerate(outer):
-        line = []
-        for h, gh in enumerate(grow):
-            brows = block(g, h)
-            line.append((zero, 0) if brows is None else (brows, s * gh))
-        rows.extend([v + base for brows, base in line for v in brows[a]] for a in range(s))
-    return rows
+    """Rows of the product of the outer table, whose rows are ``outer``, with
+    the table on 0..s-1 whose rows are ``block``; pair (a, g) is encoded
+    a + s*g and (a,g)(b,h) = (a*b, g*h).  Row a of ``block`` is relabelled
+    once onto the labels of each outer element, and each row joins those
+    pieces in the order of its outer row."""
+    segs = [_LABELS[s * x:s * x + s] for x in range(len(outer))]
+    pieces = [[tuple(map(seg.__getitem__, brow)) for seg in segs] for brow in block]
+    return [list(chain.from_iterable(map(piece.__getitem__, grow))) for grow in outer for piece in pieces]
 
 
 def _overlay(rows, table, members):
@@ -332,13 +341,16 @@ def direct_product(a: MagmaTable, b: MagmaTable) -> MagmaTable:
     n = a.order * b.order
     _check_order(n)
     kind = KINDS[min(KINDS.index(a.kind), KINDS.index(b.kind))]
-    return build_magma(n, _block_rows(a.rows, b.order, lambda g, h: b.rows), kind)
+    # a product of Latin tables is Latin, with identity (0, 0) = 0 for loops
+    return _freeze(n, _block_rows(a.rows, b.order, b.rows), kind)
 
 
 def cyclic_group(n: int) -> MagmaTable:
     """Addition modulo n as a loop table."""
     _check_order(n)
-    return build_magma(n, [[(i + j) % n for j in range(n)] for i in range(n)], "loop")
+    labels = _LABELS[:n]
+    # row i is the labels rotated left by i: Latin, with identity 0
+    return _freeze(n, [labels[i:] + labels[:i] for i in range(n)], "loop")
 
 
 # -- isomorphism ---------------------------------------------------------

@@ -1,11 +1,15 @@
 import itertools
+import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jordanloops.constructions import (
     AmalgamSpec,
     PartitionedQuasigroup,
+    _adjoin_identity,
     adjoin_identity_with_bijection,
     antidiagonal_idempotent,
     construct,
@@ -34,6 +38,7 @@ from jordanloops.tables import (
     direct_product,
     find_counterexample,
     find_isomorphism,
+    opposite,
 )
 from oracle import output_digest
 
@@ -58,6 +63,17 @@ def assert_nonassociative_jordan(table, order):
 def as_kind(table, kind):
     """The same rows under a different kind claim."""
     return build_magma(table.order, table.rows, kind)
+
+
+def assert_valid_as_built(table):
+    """A builder's table, frozen without checks, is the table build_magma
+    validates from the same rows and kind."""
+    assert build_magma(table.order, table.rows, table.kind) == table
+
+
+def int_objects(table) -> int:
+    """How many distinct int objects the cells of ``table`` hold."""
+    return len({id(v) for row in table.rows for v in row})
 
 
 Z2, Z3 = cyclic_group(2), cyclic_group(3)
@@ -297,6 +313,8 @@ class TestAmalgams:
         )
         tables = [adjoin_identity_with_bijection(spec, c) for c in itertools.permutations(range(3))]
         assert output_digest(tables) == ADJOIN_DIGEST
+        for table in tables:
+            assert_valid_as_built(table)
 
     def test_adjoin_identity_bijection_validated(self):
         g, blocks = self.fig_parts()
@@ -459,7 +477,10 @@ class TestConstructAnyOrder:
         assert_nonassociative_jordan(construct(n), n)
 
     def test_outputs_pinned(self):
-        assert output_digest(construct(n) for n in range(6, 130) if n != 9) == CONSTRUCT_DIGEST
+        tables = [construct(n) for n in range(6, 130) if n != 9]
+        assert output_digest(tables) == CONSTRUCT_DIGEST
+        for table in tables:
+            assert_valid_as_built(table)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 9])
     def test_invalid_orders(self, n):
@@ -505,3 +526,102 @@ class TestHyperExtension:
         t3 = jordan_tower(3)
         assert t3.order == 15
         assert check(t3, "jordan") and not check(t3, "associative")
+
+
+# -- builders freeze their rows unchecked --------------------------------
+
+class TestUncheckedFreeze:
+    @pytest.mark.parametrize("depth", range(9))
+    def test_tower_validates(self, depth):
+        assert_valid_as_built(jordan_tower(depth))
+
+    @pytest.mark.parametrize("m,n", [(2, 3), (4, 3), (3, 5), (2, 7), (5, 7)])
+    def test_gap_loop_validates(self, m, n):
+        assert_valid_as_built(powers_gap_loop(m, n)[0])
+
+    def test_builders_on_q3_and_z3z3_validate(self):
+        g9, parts, quasis = TestUnionOfGroups().z3z3_parts()
+        q8 = union_of_groups(g9, parts, quasis)
+        odd_block = build_magma(2, [[1, 0], [0, 1]], "quasigroup")
+        built = [
+            g9,
+            q8,
+            loop_amalgam(amalgam_spec()),
+            quasigroup_amalgam(Q3, amalgam_blocks(odd_block)),
+            replace_subquasigroups(PartitionedQuasigroup(Q3, SINGLETONS), {g: Z2 for g in range(3)}),
+            replace_subquasigroups(
+                PartitionedQuasigroup(q8, ((2, 5), (0, 1), (3, 7), (4, 6))), {g: Z3 for g in range(4)}),
+            opposite(Q3),
+            opposite(q8),
+            opposite(quasigroup_amalgam(Q3, amalgam_blocks(odd_block))),
+            direct_product(Q3, g9),
+            direct_product(M3, Z2),
+            EXP2_4,
+            exp2_to_idempotent(EXP2_4),
+            idempotent_to_exp2(direct_product(Q3, Q3)),
+            exp2_to_idempotent(idempotent_to_exp2(direct_product(Q3, Q3))),
+        ]
+        for table in built:
+            assert_valid_as_built(table)
+
+    @pytest.mark.parametrize("build,order", [
+        (lambda: jordan_tower(9), 1023),
+        (lambda: powers_gap_loop(100, 3)[0], 309),
+        (lambda: cyclic_group(300), 300),
+        (lambda: direct_product(cyclic_group(20), cyclic_group(20)), 400),
+        (lambda: construct(513), 513),
+    ], ids=["tower 9", "gap loop 100 3", "Z300", "Z20 x Z20", "construct 513"])
+    def test_one_int_object_per_label(self, build, order):
+        table = build()
+        assert table.order == order
+        assert int_objects(table) == order
+
+    @pytest.mark.parametrize("build", [
+        hyper_extend,
+        lambda base: direct_product(cyclic_group(32), cyclic_group(32)),
+    ], ids=["hyper_extend", "direct_product"])
+    def test_one_copy_alive_while_freezing(self, build):
+        """Rows become tuples one at a time: an order-1023 or 1024 build
+        peaks near the size of the table it returns, not twice that."""
+        base = jordan_tower(8)
+        tracemalloc.start()
+        try:
+            table = build(base)
+            size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.order >= 1023
+        assert peak < 1.5 * size
+
+    def test_adjoining_past_the_limit_is_refused(self):
+        """replace_subquasigroups over singletons of an idempotent quasigroup
+        of order ORDER_LIMIT would reach this before building anything."""
+        with pytest.raises(ValidationError, match="supported"):
+            _adjoin_identity([()] * ORDER_LIMIT)
+
+
+SMALL_TABLES = st.one_of(
+    st.integers(1, 12).map(cyclic_group),
+    st.integers(0, 6).map(lambda k: antidiagonal_idempotent(2 * k + 1)),
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=n, max_size=n)
+        .map(lambda rows: build_magma(len(rows), rows))
+    ),
+)
+
+
+@settings(max_examples=80)
+@given(st.integers(1, 200), st.integers(0, 100), SMALL_TABLES, SMALL_TABLES)
+def test_small_builders_validate(n, k, a, b):
+    for table in (cyclic_group(n), antidiagonal_idempotent(2 * k + 1), opposite(a), direct_product(a, b)):
+        assert_valid_as_built(table)
+
+
+@pytest.mark.slow
+def test_largest_builds_validate():
+    """The largest construct, tower and gap loop the CLI accepts all pass
+    build_magma (about 11 s on a 2-core VM with CPython 3.11)."""
+    start = time.perf_counter()
+    for build in (lambda: construct(4095), lambda: jordan_tower(11), lambda: powers_gap_loop(1360, 3)[0]):
+        assert_valid_as_built(build())
+    print(f"built and validated in {time.perf_counter() - start:.1f} s")
