@@ -29,6 +29,7 @@ from .tables import (
 
 def antidiagonal_idempotent(n: int) -> MagmaTable:
     """The commutative idempotent quasigroup a*b = (a+b)/2 mod n, odd n."""
+    _check_int(n)
     if n < 1 or n % 2 == 0:
         raise ValueError(f"averaging needs an odd modulus, got {n}")
     _check_order(n)
@@ -86,6 +87,7 @@ def exp2_to_idempotent(l: MagmaTable) -> MagmaTable:
 
 def even_jordan(n: int) -> MagmaTable:
     """The canonical nonassociative commutative exponent-2 loop of even order n >= 6."""
+    _check_int(n)
     if n < 6 or n % 2:
         raise ValueError(f"even-order construction needs even n >= 6, got {n}")
     return idempotent_to_exp2(antidiagonal_idempotent(n - 1))
@@ -336,6 +338,7 @@ def odd_jordan(n: int) -> MagmaTable:
     with Z_(2^l+1) on the diagonal and Z_(2^l) off it, as
     test_odd_jordan_is_the_loop_amalgam checks.
     """
+    _check_int(n)
     if n <= 5 or n % 2 == 0:
         raise ValueError(f"odd-order construction needs odd n > 5, got {n}")
     m = n - 1
@@ -425,8 +428,15 @@ def hyper_extend(a: MagmaTable) -> MagmaTable:
     m = a.order
     if m & (m + 1):
         raise ValueError(f"order must be 2^n - 1, got {m}")
+    _check_order(2 * m + 1)
+    return _hyper_extend(a)
+
+
+def _hyper_extend(a: MagmaTable) -> MagmaTable:
+    """``hyper_extend`` without its argument checks, for a commutative loop
+    of order 2^n - 1 whose extension fits ORDER_LIMIT."""
+    m = a.order
     n = 2 * m + 1
-    _check_order(n)
     cube = _LABELS[m:n]  # cube[v] is label [v]; m is ~0, the n-bit all-ones
     flip = _LABELS[m::-1]  # flip[w] is the A element ~w, for w != 0
     rows = [None] * n
@@ -453,5 +463,5 @@ def jordan_tower(depth: int) -> MagmaTable:
         raise ValueError(f"depth must be in 0..{top} (the supported table size), got {depth}")
     t = cyclic_group(1)
     for _ in range(depth):
-        t = hyper_extend(t)
+        t = _hyper_extend(t)  # each level is a commutative loop of order 2^k - 1
     return t

@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 from .tables import (
     _LABELS,
     MagmaTable,
     Permutation,
-    _associativity_witness,
     _block_rows,
     _check_element,
     _check_int,
@@ -22,6 +22,7 @@ from .tables import (
     _overlay,
     _product_closure,
     _require_loop,
+    _right_powers,
     cyclic_group,
 )
 
@@ -32,13 +33,22 @@ def right_power(table: MagmaTable, c: int, k: int) -> int:
     """The right-associated power c*(c*(...*c)) with k factors; c^0 = 0."""
     _require_loop(table, "right_power")
     _check_element(table, c)
+    _check_int(k, "exponent")
     if k < 0:
         raise ValueError(f"exponent must be nonnegative, got {k}")
-    row = table.rows[c]
-    v = 0
-    for _ in range(k):
-        v = row[v]
-    return v
+    powers = _right_powers(table.rows[c])
+    return powers[k % len(powers)]
+
+
+def _parenthesization_sets(rows, c: int):
+    """Yield the parenthesization set of c^k for k = 1, 2, ...: the values
+    of every product of k factors c, split at its outermost product into
+    i and k - i factors."""
+    sets = [None, frozenset((c,))]
+    while True:
+        yield sets[-1]
+        k = len(sets)
+        sets.append(frozenset({rows[a][b] for i in range(1, k) for a in sets[i] for b in sets[k - i]}))
 
 
 def power_profile(table: MagmaTable, c: int, max_k: int, cap: int = DEFAULT_EXPONENT_CAP) -> list:
@@ -49,20 +59,13 @@ def power_profile(table: MagmaTable, c: int, max_k: int, cap: int = DEFAULT_EXPO
     """
     _require_loop(table, "power_profile")
     _check_element(table, c)
+    _check_int(max_k, "exponent")
+    _check_int(cap, "cap")
     if max_k < 1:
         raise ValueError(f"exponent must be positive, got {max_k}")
     if max_k > cap:
         raise ValueError(f"exponent {max_k} exceeds the cap {cap}")
-    rows = table.rows
-    sets: list = [None, frozenset((c,))]
-    for k in range(2, max_k + 1):
-        vals = set()
-        for i in range(1, k):
-            right = sets[k - i]
-            for a in sets[i]:
-                vals.update(map(rows[a].__getitem__, right))
-        sets.append(frozenset(vals))
-    return sets
+    return [None, *islice(_parenthesization_sets(table.rows, c), max_k)]
 
 
 def parenthesization_set(table: MagmaTable, c: int, k: int, cap: int = DEFAULT_EXPONENT_CAP) -> frozenset:
@@ -70,35 +73,19 @@ def parenthesization_set(table: MagmaTable, c: int, k: int, cap: int = DEFAULT_E
     return power_profile(table, c, k, cap)[k]
 
 
-def _power_walk(rows, c: int, limit: int):
-    """Yield c^1, c^2, ... up to c^limit while each power is well defined.
-
-    The recursive criterion: c^k is well defined when c^(k-1) is and every
-    split c^j * c^(k-j), 0 < j < k, gives the same value; the walk stops at
-    the first k where two splits disagree.
-    """
-    rc = rows[c]
-    powers = [0]
-    for k in range(1, limit + 1):
-        v = rc[powers[k - 1]]
-        for j in range(2, k):
-            if rows[powers[j]][powers[k - j]] != v:
-                return
-        powers.append(v)
-        yield v
-
-
 def is_well_defined(table: MagmaTable, c: int, k: int) -> bool:
     """True when every parenthesization of c^j agrees for each j <= k.
 
-    Uses the recursive criterion: c^k is well-defined iff for every
-    0 < j < k, c^j is well-defined and c^j * c^(k-j) = c^k.
+    The first parenthesization set that is not a singleton ends the walk:
+    while sets 1..j-1 are singletons c^i, set j is a singleton exactly when
+    every split c^i * c^(j-i) agrees.
     """
     _require_loop(table, "is_well_defined")
     _check_element(table, c)
+    _check_int(k, "exponent")
     if k < 0:
         raise ValueError(f"exponent must be nonnegative, got {k}")
-    return sum(1 for _ in _power_walk(table.rows, c, k)) == k
+    return all(len(s) == 1 for s in islice(_parenthesization_sets(table.rows, c), k))
 
 
 @dataclass(frozen=True)
@@ -124,6 +111,17 @@ def generated_subloop(table: MagmaTable, gens) -> SubsetClosure:
     return SubsetClosure(members=tuple(sorted(members)), generators=gens)
 
 
+def _cyclic_powers(rows, c: int) -> list | None:
+    """c's right powers 0, c, ..., c^(m-1) when c^i * c^j = c^((i+j) mod m)
+    for all i and j, so that they are <c> and cyclic, else None: <c> is then
+    not associative, as a group generated by c is cyclic."""
+    powers = _right_powers(rows[c])
+    for i, p in enumerate(powers):
+        if list(map(rows[p].__getitem__, powers)) != powers[i:] + powers[:i]:
+            return None
+    return powers
+
+
 def is_power_associative(table: MagmaTable) -> bool:
     """Does every element generate an associative subloop?
 
@@ -134,10 +132,10 @@ def is_power_associative(table: MagmaTable) -> bool:
     covered = set()
     for x in range(table.order):
         if x not in covered:
-            members = generated_subloop(table, (x,)).members
-            if _associativity_witness(table.rows, members) is not None:
+            powers = _cyclic_powers(table.rows, x)
+            if powers is None:
                 return False
-            covered.update(members)
+            covered.update(powers)
     return True
 
 
@@ -145,10 +143,8 @@ def element_order(table: MagmaTable, c: int) -> int | None:
     """|<c>| when <c> is associative (then cyclic), else None."""
     _require_loop(table, "element_order")
     _check_element(table, c)
-    members = generated_subloop(table, (c,)).members
-    if _associativity_witness(table.rows, members) is not None:
-        return None
-    return len(members)
+    powers = _cyclic_powers(table.rows, c)
+    return None if powers is None else len(powers)
 
 
 # -- the well-definedness gap loop ---------------------------------------

@@ -124,13 +124,55 @@ def is_normal(table: MagmaTable, members) -> bool:
     return normal_closure(table, sub).members == tuple(sorted(sub))
 
 
+def _inner_orbit_leaders(rows) -> list:
+    """The least element of each orbit on 1..n-1 of the inner mappings
+    L(1,y) = L_(y*1)^-1 L_y L_1, y = 1..n-1, ascending.
+
+    The orbits are merged in a union-find whose roots stay the least of
+    their class; ``comp`` maps each element to its root, so a mapping that
+    keeps every orbit is passed over in one comparison, and the merging
+    stops once one orbit is left.
+    """
+    n = len(rows)
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    orbits = n - 1
+    comp = parent[:]
+    for y in range(1, n):
+        if orbits < 2:
+            break
+        ry = rows[y]
+        inv = dict(zip(rows[ry[1]], range(n)))
+        image = list(map(inv.__getitem__, map(ry.__getitem__, rows[1])))
+        if list(map(comp.__getitem__, image)) == comp:
+            continue
+        for z, w in enumerate(image):
+            a, b = find(z), find(w)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+                orbits -= 1
+        comp = list(map(find, range(n)))
+    return [x for x in range(1, n) if comp[x] == x]
+
+
 def find_proper_normal_subloop(table: MagmaTable) -> SubsetClosure | None:
     """The normal closure of the smallest nonidentity element whose closure
     is a proper subloop, or None when every such element normally generates
-    the whole loop.  This is the witness behind ``is_simple``."""
+    the whole loop.  This is the witness behind ``is_simple``.
+
+    A normal closure is a block of Mlt(L), which every inner mapping maps
+    onto itself, so it is constant on an orbit of inner mappings: one
+    closure per orbit, the orbits taken by their least element, finds the
+    same witness as one per element.
+    """
     _require_loop(table, "find_proper_normal_subloop")
     n = table.order
-    for x in range(1, n):
+    for x in _inner_orbit_leaders(table.rows):
         closure = normal_closure(table, (x,))
         if len(closure.members) < n:
             return closure

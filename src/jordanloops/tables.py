@@ -310,6 +310,15 @@ def _product_closure(rows, members):
     return closed
 
 
+def _right_powers(row) -> list:
+    """The right powers c^0 = 0, c, c*c, c*(c*c), ... of the c whose loop row
+    is ``row``: the cycle of L_c through 0, so c^k is entry k mod its length."""
+    powers = [0]
+    while row[powers[-1]]:
+        powers.append(row[powers[-1]])
+    return powers
+
+
 def opposite(table: MagmaTable) -> MagmaTable:
     """The transposed table: x *' y = y*x."""
     # the transpose of a Latin table is Latin, and 0 stays a two-sided identity
@@ -356,23 +365,17 @@ def cyclic_group(n: int) -> MagmaTable:
 # -- isomorphism ---------------------------------------------------------
 
 def _element_keys(rows):
-    """Cheap isomorphism-invariant data, as a list indexed by element x: its
-    right-power order (the least k <= n whose k-fold right power
-    x*(x*(...*x)) is 0, else -1), its commutant size, the tail and cycle
-    lengths of its iterated-squaring walk, and its right-alternative defect
-    count #{y : (x*y)*y != x*(y*y)}."""
+    """Cheap isomorphism-invariant data, as a list indexed by element x of a
+    loop: its right-power order (the least k >= 1 whose k-fold right power
+    x*(x*(...*x)) is 0), its commutant size, the tail and cycle lengths of
+    its iterated-squaring walk, and its right-alternative defect count
+    #{y : (x*y)*y != x*(y*y)}."""
     n = len(rows)
     cols = list(zip(*rows))
     square = [rows[x][x] for x in range(n)]
     keys = []
     for x, rx in enumerate(rows):
-        order = -1
-        v = 0
-        for k in range(1, n + 1):
-            v = rx[v]
-            if v == 0:
-                order = k
-                break
+        order = len(_right_powers(rx))
         seen = {}
         v = x
         while v not in seen:

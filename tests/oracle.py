@@ -13,8 +13,17 @@ import time
 from operator import itemgetter
 
 from jordanloops.search import SearchOptions, SearchStats, _run, _State
-from jordanloops.structure import conjugation, inner_left, inner_right
-from jordanloops.tables import KINDS, MagmaTable, ValidationError, _check_order, build_magma, check
+from jordanloops.powers import generated_subloop
+from jordanloops.structure import conjugation, inner_left, inner_right, normal_closure
+from jordanloops.tables import (
+    KINDS,
+    MagmaTable,
+    ValidationError,
+    _associativity_witness,
+    _check_order,
+    build_magma,
+    check,
+)
 
 
 def _symmetric_fills(n: int, identity_border: bool) -> list:
@@ -222,6 +231,49 @@ def naive_parenthesizations(table: MagmaTable, c: int, k: int) -> frozenset:
             for b in naive_parenthesizations(table, c, k - i):
                 vals.add(table.rows[a][b])
     return frozenset(vals)
+
+
+def right_power_reference(table: MagmaTable, c: int, k: int) -> int:
+    """c*(c*(...*c)) with k factors, one product a factor."""
+    v = 0
+    for _ in range(k):
+        v = table.rows[c][v]
+    return v
+
+
+def power_walk(rows, c: int, limit: int):
+    """Yield c^1, c^2, ... up to c^limit while each power is well defined.
+
+    The recursive criterion: c^k is well defined when c^(k-1) is and every
+    split c^j * c^(k-j), 0 < j < k, gives the same value; the walk stops at
+    the first k where two splits disagree.
+    """
+    rc = rows[c]
+    powers = [0]
+    for k in range(1, limit + 1):
+        v = rc[powers[k - 1]]
+        for j in range(2, k):
+            if rows[powers[j]][powers[k - j]] != v:
+                return
+        powers.append(v)
+        yield v
+
+
+def element_order_reference(table: MagmaTable, c: int):
+    """|<c>| when the subloop <c> passes the triple-by-triple associativity
+    scan, else None."""
+    members = generated_subloop(table, (c,)).members
+    return None if _associativity_witness(table.rows, members) is not None else len(members)
+
+
+def proper_normal_subloop_reference(table: MagmaTable):
+    """The normal closure of the least nonidentity element whose closure is
+    proper, trying one element at a time, or None."""
+    for x in range(1, table.order):
+        closure = normal_closure(table, (x,))
+        if len(closure.members) < table.order:
+            return closure
+    return None
 
 
 def inner_mappings(table: MagmaTable) -> tuple:

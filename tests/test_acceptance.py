@@ -44,7 +44,7 @@ from jordanloops.tables import (
     find_isomorphism,
     squaring_bijective,
 )
-from oracle import symmetric_latin_squares
+from oracle import power_walk, symmetric_latin_squares
 
 ACHIEVABLE_ORDERS = [n for n in range(6, 65) if n != 9]
 
@@ -293,16 +293,17 @@ def test_acceptance_7_property_suites(searched):
             break
 
     # (c) the recursive well-definedness criterion matches the
-    #     all-parenthesizations-agree definition
+    #     all-parenthesizations-agree definition, and is_well_defined both
     probe = [powers_gap_loop(2, 3)[0], jordan_tower(2), even_jordan(6), cyclic_group(8)]
     probe += searched(7)[0][:20]
     for t in probe:
         for c in range(t.order):
             sets = power_profile(t, c, 10)
+            walk = len(list(power_walk(t.rows, c, 10)))
             ok = True
             for k in range(1, 11):
                 ok = ok and len(sets[k]) == 1
-                if is_well_defined(t, c, k) != ok:
+                if is_well_defined(t, c, k) != ok or (k <= walk) != ok:
                     failures.append(f"well-definedness criterion diverges (order {t.order})")
                     break
 

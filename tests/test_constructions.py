@@ -1,4 +1,5 @@
 import itertools
+import re
 import time
 import tracemalloc
 
@@ -27,7 +28,14 @@ from jordanloops.constructions import (
     replace_subquasigroups,
     union_of_groups,
 )
-from jordanloops.powers import powers_gap_loop, powers_gap_params
+from jordanloops.powers import (
+    is_well_defined,
+    parenthesization_set,
+    power_profile,
+    powers_gap_loop,
+    powers_gap_params,
+    right_power,
+)
 from jordanloops.search import PartialTable, SearchOptions, enumerate_loops, propagate
 from jordanloops.tables import (
     ORDER_LIMIT,
@@ -191,13 +199,22 @@ NON_INT_CALLS = {
     "fermat_subloop_members": fermat_subloop_members,
     "powers_gap_params m": lambda v: powers_gap_params(v, 3),
     "powers_gap_params n": lambda v: powers_gap_params(2, v),
+    "antidiagonal_idempotent": antidiagonal_idempotent,
+    "even_jordan": even_jordan,
+    "odd_jordan": odd_jordan,
+    "right_power": lambda v: right_power(cyclic_group(5), 1, v),
+    "power_profile": lambda v: power_profile(cyclic_group(5), 1, v),
+    "power_profile cap": lambda v: power_profile(cyclic_group(5), 1, 3, cap=v),
+    "parenthesization_set": lambda v: parenthesization_set(cyclic_group(5), 1, v),
+    "is_well_defined": lambda v: is_well_defined(cyclic_group(5), 1, v),
 }
 
 
-@pytest.mark.parametrize("value", [3.0, True], ids=repr)
+@pytest.mark.parametrize("value", [2.0, 3.0, 8.0, True, "3"], ids=repr)
 @pytest.mark.parametrize("name", sorted(NON_INT_CALLS))
 def test_non_int_argument_is_validation_error(name, value):
-    with pytest.raises(ValidationError, match="must be an int"):
+    # refused under the value given: even_jordan(8.0) once named the 7.0 it passed on
+    with pytest.raises(ValidationError, match=f"must be an int, got {re.escape(repr(value))}$"):
         NON_INT_CALLS[name](value)
 
 

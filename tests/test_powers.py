@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jordanloops import powers
 from jordanloops.constructions import even_jordan, jordan_tower, odd_jordan
@@ -15,7 +17,15 @@ from jordanloops.powers import (
     right_power,
 )
 from jordanloops.tables import build_magma, check, cyclic_group
-from oracle import naive_parenthesizations
+from oracle import (
+    element_order_reference,
+    naive_parenthesizations,
+    power_walk,
+    random_loop,
+    right_power_reference,
+)
+
+GAP_LOOPS = [powers_gap_loop(m, n)[0] for m, n in ((2, 3), (4, 3), (3, 5), (2, 7), (3, 3))]
 
 CIRC_23_GOLDEN = [
     [0, 1, 2, 3],
@@ -34,6 +44,14 @@ class TestRightPower:
 
     def test_zeroth_power_is_identity(self):
         assert right_power(jordan_tower(2), 5, 0) == 0
+
+    def test_huge_exponent_wraps_around_the_cycle(self):
+        for table in [jordan_tower(3), even_jordan(10), odd_jordan(11), *GAP_LOOPS]:
+            for c in range(table.order):
+                m = next(k for k in range(1, table.order + 1) if right_power_reference(table, c, k) == 0)
+                assert right_power(table, c, 10**12) == right_power_reference(table, c, 10**12 % m), c
+                assert [right_power(table, c, k) for k in range(2 * m + 1)] == [
+                    right_power_reference(table, c, k) for k in range(2 * m + 1)]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -74,16 +92,23 @@ class TestParenthesizations:
 
 
 class TestWellDefined:
-    def test_equivalent_to_singleton_criterion(self):
-        gap, _ = powers_gap_loop(2, 3)
-        tables = [gap, jordan_tower(2), even_jordan(6), odd_jordan(7), cyclic_group(8)]
-        for table in tables:
+    TABLES = [*GAP_LOOPS, jordan_tower(2), even_jordan(6), odd_jordan(7), cyclic_group(8)]
+
+    def test_matches_recursive_walk(self):
+        for table in self.TABLES:
             for c in range(table.order):
-                profile = power_profile(table, c, 12)
-                singleton_so_far = True
-                for k in range(1, 13):
-                    singleton_so_far = singleton_so_far and len(profile[k]) == 1
-                    assert is_well_defined(table, c, k) == singleton_so_far, (c, k)
+                walk = list(power_walk(table.rows, c, 40))
+                for k in range(41):
+                    assert is_well_defined(table, c, k) == (k <= len(walk)), (c, k)
+
+    def test_profile_singletons_match_recursive_walk(self):
+        for table in self.TABLES:
+            for c in range(table.order):
+                walk = list(power_walk(table.rows, c, 40))
+                profile = power_profile(table, c, 40)
+                singletons = [frozenset((v,)) for v in walk]
+                assert profile[1:len(walk) + 1] == singletons, c
+                assert len(walk) == 40 or len(profile[len(walk) + 1]) > 1, c
 
     def test_trivial_exponents(self):
         t = jordan_tower(2)
@@ -123,11 +148,15 @@ class TestPowerAssociativity:
     def test_elements_of_a_checked_subloop_are_skipped(self, monkeypatch):
         """Z_12 is checked on <0> and on <1>, which is all of it."""
         checked = []
-        witness = powers._associativity_witness
-        monkeypatch.setattr(powers, "_associativity_witness",
-                            lambda rows, members: checked.append(members) or witness(rows, members))
+        cyclic = powers._cyclic_powers
+
+        def spy(rows, c):
+            checked.append(cyclic(rows, c))
+            return checked[-1]
+
+        monkeypatch.setattr(powers, "_cyclic_powers", spy)
         assert is_power_associative(cyclic_group(12))
-        assert checked == [(0,), tuple(range(12))]
+        assert checked == [[0], list(range(12))]
 
     def test_element_orders(self):
         t = cyclic_group(6)
@@ -206,3 +235,19 @@ class TestGapLoop:
     def test_resolved_order_for_3_5(self):
         gap, c = powers_gap_loop(3, 5)
         assert gap.order == 30 and c == 6
+
+
+@st.composite
+def small_loops(draw):
+    """A random loop of order 1..7, most often noncommutative, or a gap loop."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(GAP_LOOPS))
+    return random_loop(draw(st.integers(1, 7)), draw(st.randoms(use_true_random=False)))
+
+
+@settings(max_examples=80)
+@given(small_loops())
+def test_orders_and_power_associativity_match_subloop_scan(table):
+    orders = [element_order(table, c) for c in range(table.order)]
+    assert orders == [element_order_reference(table, c) for c in range(table.order)]
+    assert is_power_associative(table) == (None not in orders)
