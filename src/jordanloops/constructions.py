@@ -14,6 +14,7 @@ from .tables import (
     _LABELS,
     MagmaTable,
     Permutation,
+    _check_element,
     _check_int,
     _check_order,
     _escaping_pair,
@@ -114,6 +115,7 @@ class AmalgamSpec:
     def validate(self, needed_pairs) -> None:
         _require_quasigroup(self.group, "amalgam outer table")
         s = self.carrier_size
+        _check_int(s, "carrier size")
         if s < 1:
             raise ValueError(f"carrier size must be positive, got {s}")
         for g in range(self.group.order):
@@ -123,13 +125,18 @@ class AmalgamSpec:
             _require_loop(loop, f"diagonal for {g}")
             if loop.order != s + 1:
                 raise ValueError(f"diagonal loop for {g} must be a loop of order {s + 1}")
-        for pair in needed_pairs:
-            q = self.block_quasigroups.get(pair)
-            if q is None:
-                raise ValueError(f"missing block quasigroup for pair {pair}")
-            _require_quasigroup(q, f"block for pair {pair}")
-            if q.order != s:
-                raise ValueError(f"block for pair {pair} must be a quasigroup of order {s}")
+        _check_blocks(self.block_quasigroups, needed_pairs, s)
+
+
+def _check_blocks(blocks: Mapping[tuple[int, int], MagmaTable], pairs, s: int) -> None:
+    """Require a quasigroup of order s in ``blocks`` for every pair."""
+    for pair in pairs:
+        q = blocks.get(pair)
+        if q is None:
+            raise ValueError(f"missing block quasigroup for pair {pair}")
+        _require_quasigroup(q, f"block for pair {pair}")
+        if q.order != s:
+            raise ValueError(f"block for pair {pair} must be a quasigroup of order {s}")
 
 
 def quasigroup_amalgam(group: MagmaTable, blocks: Mapping[tuple[int, int], MagmaTable]) -> MagmaTable:
@@ -144,12 +151,7 @@ def quasigroup_amalgam(group: MagmaTable, blocks: Mapping[tuple[int, int], Magma
     if len(sizes) != 1:
         raise ValueError("all blocks must share one carrier size")
     s = sizes.pop()
-    for g in range(k):
-        for h in range(k):
-            q = blocks.get((g, h))
-            if q is None:
-                raise ValueError(f"missing block quasigroup for pair ({g},{h})")
-            _require_quasigroup(q, f"block ({g},{h})")
+    _check_blocks(blocks, ((g, h) for g in range(k) for h in range(k)), s)
     n = s * k
     _check_order(n)
     rows = _lay_blocks([[0] * n for _ in range(n)], group.rows, s, lambda g, h: blocks[g, h].rows)
@@ -193,6 +195,7 @@ def adjoin_identity_with_bijection(spec: AmalgamSpec, c: Permutation) -> MagmaTa
     exactly when c is the identity map and G is idempotent.
     """
     k = spec.group.order
+    _check_element(spec.group, *c)
     if sorted(c) != list(range(k)):
         raise ValueError(f"c must be a bijection on 0..{k - 1}")
     spec.validate((g, h) for g in range(k) for h in range(k) if h != c[g])
@@ -291,6 +294,10 @@ class PartitionedQuasigroup:
     blocks: tuple
 
     def __init__(self, table: MagmaTable, blocks):
+        blocks = [tuple(b) for b in blocks]
+        for block in blocks:
+            for e in block:
+                _check_int(e, "element")
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "blocks", tuple(tuple(sorted(set(b))) for b in blocks))
 
@@ -299,6 +306,7 @@ class PartitionedQuasigroup:
         n = self.table.order
         seen = []
         for block in self.blocks:
+            _check_element(self.table, *block)
             if _escaping_pair(self.table.rows, block) is not None:
                 raise ValueError(f"block {block} is not closed under the product")
             seen.extend(block)

@@ -78,14 +78,19 @@ def is_well_defined(table: MagmaTable, c: int, k: int) -> bool:
 
     The first parenthesization set that is not a singleton ends the walk:
     while sets 1..j-1 are singletons c^i, set j is a singleton exactly when
-    every split c^i * c^(j-i) agrees.
+    every split c^i * c^(j-i) agrees.  The walk needs at most 2m sets, m
+    being the length of c's right-power cycle: when sets 1..2m-2 are
+    singletons, c^i * c^j = c^((i+j) mod m) for all i, j < m, so <c> is
+    cyclic and every later set is the singleton c^(k mod m).
     """
     _require_loop(table, "is_well_defined")
     _check_element(table, c)
     _check_int(k, "exponent")
     if k < 0:
         raise ValueError(f"exponent must be nonnegative, got {k}")
-    return all(len(s) == 1 for s in islice(_parenthesization_sets(table.rows, c), k))
+    rows = table.rows
+    k = min(k, 2 * len(_right_powers(rows[c])))
+    return all(len(s) == 1 for s in islice(_parenthesization_sets(rows, c), k))
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,7 @@ from .tables import (  # classify_up_to_iso is re-exported for callers of this m
     MagmaTable,
     ValidationError,
     _associativity_witness,
+    _check_bool,
     _check_int,
     _check_order,
     _least_form,
@@ -136,6 +137,7 @@ class PartialTable:
             base = i * n
             for j in range(n):
                 v = cells[base + j]
+                _check_int(v, f"cell ({i},{j})")
                 if v == -1:
                     continue
                 if not 0 <= v < n:
@@ -412,6 +414,7 @@ def _seeded(pt: PartialTable, require_jordan: bool) -> _State | None:
 def propagate(pt: PartialTable, require_jordan: bool = True) -> PartialTable | None:
     """Close a partial table under Latin singles, commutativity mirroring,
     and Jordan triggers; None on contradiction."""
+    _check_bool(require_jordan, "require_jordan")
     state = _seeded(pt, require_jordan)
     return None if state is None else PartialTable(pt.order, tuple(state.T))
 
@@ -816,10 +819,12 @@ def _orbit(rows, tick=lambda: None) -> set:
 
 
 def _check_options(options: SearchOptions):
-    """Reject a bad order or limit before any search."""
+    """Reject a bad order, flag or limit before any search."""
     _check_order(options.order)
     if options.order > 64:
         raise ValueError(f"order {options.order} is far beyond exhaustive reach")
+    for name in ("require_jordan", "nonassociative_only", "up_to_iso"):
+        _check_bool(getattr(options, name), name)
     for name in ("node_limit", "time_budget", "result_limit"):
         limit = getattr(options, name)
         if limit is not None and name != "time_budget":

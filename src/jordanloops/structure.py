@@ -27,21 +27,22 @@ def right_translation(table: MagmaTable, x: int) -> Permutation:
     return tuple(rows[z][x] for z in range(table.order))
 
 
-def _inverse(perm) -> list:
-    inv = [0] * len(perm)
-    for i, v in enumerate(perm):
-        inv[v] = i
-    return inv
+def _inverse(perm) -> dict:
+    """The inverse of a permutation, mapping each image to its preimage."""
+    return dict(zip(perm, range(len(perm))))
+
+
+def _inner_left(rows, x: int, y: int):
+    """L(x,y) as an iterator over z of (y*x) \\ (y*(x*z))."""
+    ry = rows[y]
+    return map(_inverse(rows[ry[x]]).__getitem__, map(ry.__getitem__, rows[x]))
 
 
 def inner_left(table: MagmaTable, x: int, y: int) -> Permutation:
     """L(x,y): z -> (y*x) \\ (y*(x*z)); fixes the identity."""
     _require_loop(table, "inner_left")
     _check_element(table, x, y)
-    rows = table.rows
-    rx, ry = rows[x], rows[y]
-    inv = _inverse(rows[ry[x]])
-    return tuple(inv[ry[rx[z]]] for z in range(table.order))
+    return tuple(_inner_left(table.rows, x, y))
 
 
 def inner_right(table: MagmaTable, x: int, y: int) -> Permutation:
@@ -49,10 +50,9 @@ def inner_right(table: MagmaTable, x: int, y: int) -> Permutation:
     _require_loop(table, "inner_right")
     _check_element(table, x, y)
     rows = table.rows
-    n = table.order
     xy = rows[x][y]
-    inv = _inverse(tuple(rows[z][xy] for z in range(n)))
-    return tuple(inv[rows[rows[z][x]][y]] for z in range(n))
+    inv = _inverse([row[xy] for row in rows])
+    return tuple(inv[rows[row[x]][y]] for row in rows)
 
 
 def conjugation(table: MagmaTable, x: int) -> Permutation:
@@ -60,9 +60,14 @@ def conjugation(table: MagmaTable, x: int) -> Permutation:
     _require_loop(table, "conjugation")
     _check_element(table, x)
     rows = table.rows
-    n = table.order
-    inv = _inverse(tuple(rows[z][x] for z in range(n)))
-    return tuple(inv[rows[x][z]] for z in range(n))
+    return tuple(map(_inverse([row[x] for row in rows]).__getitem__, rows[x]))
+
+
+def _find(parent: list, x: int) -> int:
+    """The root of x's class in a union-find, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
 
 
 def normal_closure(table: MagmaTable, seed) -> SubsetClosure:
@@ -82,13 +87,8 @@ def normal_closure(table: MagmaTable, seed) -> SubsetClosure:
     # the rows and the columns are the translations.  Row x sends 0 to x, as
     # does column x, so a column can repeat only its own row
     gens = rows + tuple(col for x, col in enumerate(zip(*rows)) if col != rows[x])
+    # roots stay the least of their class, so the class of 0 has root 0
     parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
     pending = [(0, s) for s in seed if s]
     for _, s in pending:
         parent[s] = 0
@@ -97,13 +97,12 @@ def normal_closure(table: MagmaTable, seed) -> SubsetClosure:
         a, b = pending.pop()
         for g in gens:
             x, y = g[a], g[b]
-            rx, ry = find(x), find(y)
+            rx, ry = _find(parent, x), _find(parent, y)
             if rx != ry:
-                parent[ry] = rx
+                parent[max(rx, ry)] = min(rx, ry)
                 pending.append((x, y))
                 left -= 1
-    root = find(0)
-    members = tuple(x for x in range(n) if find(x) == root)
+    members = tuple(x for x in range(n) if _find(parent, x) == 0)
     return SubsetClosure(members=members, generators=seed)
 
 
@@ -135,28 +134,20 @@ def _inner_orbit_leaders(rows) -> list:
     """
     n = len(rows)
     parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
     orbits = n - 1
     comp = parent[:]
     for y in range(1, n):
         if orbits < 2:
             break
-        ry = rows[y]
-        inv = dict(zip(rows[ry[1]], range(n)))
-        image = list(map(inv.__getitem__, map(ry.__getitem__, rows[1])))
+        image = list(_inner_left(rows, 1, y))
         if list(map(comp.__getitem__, image)) == comp:
             continue
         for z, w in enumerate(image):
-            a, b = find(z), find(w)
+            a, b = _find(parent, z), _find(parent, w)
             if a != b:
                 parent[max(a, b)] = min(a, b)
                 orbits -= 1
-        comp = list(map(find, range(n)))
+        comp = [_find(parent, z) for z in range(n)]
     return [x for x in range(1, n) if comp[x] == x]
 
 

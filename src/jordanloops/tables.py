@@ -242,6 +242,12 @@ def _check_int(value, name: str = "order"):
         raise ValidationError(f"{name} must be an int, got {value!r}")
 
 
+def _check_bool(value, name: str):
+    """Reject anything but True or False, so a string flag is not read as set."""
+    if not isinstance(value, bool):
+        raise ValidationError(f"{name} must be a bool, got {value!r}")
+
+
 def _check_order(n: int):
     """Reject a non-int order or one outside 1..ORDER_LIMIT, before allocating."""
     _check_int(n)

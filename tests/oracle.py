@@ -14,7 +14,7 @@ from operator import itemgetter
 
 from jordanloops.search import SearchOptions, SearchStats, _run, _State
 from jordanloops.powers import generated_subloop
-from jordanloops.structure import conjugation, inner_left, inner_right, normal_closure
+from jordanloops.structure import normal_closure
 from jordanloops.tables import (
     KINDS,
     MagmaTable,
@@ -276,15 +276,37 @@ def proper_normal_subloop_reference(table: MagmaTable):
     return None
 
 
+def conjugation_reference(table: MagmaTable, x: int) -> tuple:
+    """T(x): z -> (x*z) / x, b / a being the w in column a with w*a = b."""
+    rows = table.rows
+    col = [row[x] for row in rows]
+    return tuple(col.index(rows[x][z]) for z in range(table.order))
+
+
+def inner_left_reference(table: MagmaTable, x: int, y: int) -> tuple:
+    """L(x,y): z -> (y*x) \\ (y*(x*z)), a \\ b being the w in row a with a*w = b."""
+    rows = table.rows
+    row = rows[rows[y][x]]
+    return tuple(row.index(rows[y][rows[x][z]]) for z in range(table.order))
+
+
+def inner_right_reference(table: MagmaTable, x: int, y: int) -> tuple:
+    """R(x,y): z -> ((z*x)*y) / (x*y)."""
+    rows = table.rows
+    col = [row[rows[x][y]] for row in rows]
+    return tuple(col.index(rows[rows[z][x]][y]) for z in range(table.order))
+
+
 def inner_mappings(table: MagmaTable) -> tuple:
-    """Every generating inner mapping T(x), L(x,y) and R(x,y), deduplicated."""
+    """Every generating inner mapping T(x), L(x,y) and R(x,y), deduplicated,
+    each built from its definition."""
     n = table.order
     maps = set()
     for x in range(n):
-        maps.add(conjugation(table, x))
+        maps.add(conjugation_reference(table, x))
         for y in range(n):
-            maps.add(inner_left(table, x, y))
-            maps.add(inner_right(table, x, y))
+            maps.add(inner_left_reference(table, x, y))
+            maps.add(inner_right_reference(table, x, y))
     return tuple(maps)
 
 

@@ -186,8 +186,8 @@ def test_oversize_order_is_value_error(name):
     assert peak < 1 << 20  # refused before any table of that size was built
 
 
-# Orders, depths and exponents that are not plain ints: each call must refuse
-# the argument before any arithmetic on it.
+# Orders, depths, exponents, cells and elements that are not plain ints: each
+# call must refuse the argument before any arithmetic or comparison on it.
 NON_INT_CALLS = {
     "build_magma": lambda v: build_magma(v, [[0]]),
     "cyclic_group": cyclic_group,
@@ -207,6 +207,10 @@ NON_INT_CALLS = {
     "power_profile cap": lambda v: power_profile(cyclic_group(5), 1, 3, cap=v),
     "parenthesization_set": lambda v: parenthesization_set(cyclic_group(5), 1, v),
     "is_well_defined": lambda v: is_well_defined(cyclic_group(5), 1, v),
+    "PartialTable cell": lambda v: PartialTable(2, (0, 1, 1, v)),
+    "AmalgamSpec carrier_size": lambda v: AmalgamSpec(Q3, v, {}, {}).validate(()),
+    "adjoin_identity_with_bijection": lambda v: adjoin_identity_with_bijection(amalgam_spec(), (0, 1, v)),
+    "PartitionedQuasigroup": lambda v: replace_subquasigroups(PartitionedQuasigroup(Q3, [(v,), (1,), (2,)]), {}),
 }
 
 

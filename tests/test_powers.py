@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -109,6 +111,16 @@ class TestWellDefined:
                 singletons = [frozenset((v,)) for v in walk]
                 assert profile[1:len(walk) + 1] == singletons, c
                 assert len(walk) == 40 or len(profile[len(walk) + 1]) > 1, c
+
+    def test_huge_exponent_stops_at_twice_the_cycle(self):
+        for table in [*self.TABLES, cyclic_group(3)]:
+            for c in range(table.order):
+                m = next(k for k in range(1, table.order + 1) if right_power_reference(table, c, k) == 0)
+                start = time.perf_counter()
+                verdict = is_well_defined(table, c, 10**12)
+                assert time.perf_counter() - start < 1
+                assert verdict == is_well_defined(table, c, 2 * m), c
+                assert verdict == (len(list(power_walk(table.rows, c, 4 * m))) == 4 * m), c
 
     def test_trivial_exponents(self):
         t = jordan_tower(2)

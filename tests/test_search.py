@@ -444,11 +444,18 @@ class TestEnumerate:
             {"order": 6, "node_limit": 2.5},
             {"order": 6, "time_budget": "1"},
             {"order": 6, "time_budget": True},
+            {"order": 6, "up_to_iso": "no"},
+            {"order": 6, "nonassociative_only": "yes"},
+            {"order": 6, "require_jordan": "no"},
         ],
     )
     def test_non_int_arguments_rejected(self, fields):
         with pytest.raises(ValidationError):
             enumerate_loops(SearchOptions(**fields))
+
+    def test_propagate_flag_must_be_a_bool(self):
+        with pytest.raises(ValidationError, match="require_jordan must be a bool, got 'no'"):
+            propagate(PartialTable.blank(3), "no")
 
 
 class TestSquaringClasses:

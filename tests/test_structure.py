@@ -46,10 +46,14 @@ from jordanloops.tables import (
 )
 from oracle import (
     canonical_form,
+    conjugation_reference,
     division_closure,
+    inner_left_reference,
     inner_mapping_closure,
     inner_mappings,
+    inner_right_reference,
     proper_normal_subloop_reference,
+    random_loop,
     relabel,
 )
 
@@ -313,6 +317,21 @@ NONCOMMUTATIVE_LOOPS = [
     f(t) for t in [_S3] + [direct_product(_S3, cyclic_group(k)) for k in (2, 3, 5)]
     for f in (lambda t: t, opposite)
 ]
+
+
+def test_inner_mappings_match_their_definitions():
+    # a noncommutative nonassociative loop of order 5: 1*2 = 3, 2*1 = 4
+    nc5 = build_magma(5, [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                          [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]], "loop")
+    rnd = random.Random(20261020)
+    loops = NONCOMMUTATIVE_LOOPS + [nc5, opposite(nc5)] + [random_loop(n, rnd) for n in (5, 6, 7, 8)]
+    for t in loops:
+        n = t.order
+        for x in range(n):
+            assert conjugation(t, x) == conjugation_reference(t, x), (t.rows, x)
+            for y in range(n):
+                assert inner_left(t, x, y) == inner_left_reference(t, x, y), (t.rows, x, y)
+                assert inner_right(t, x, y) == inner_right_reference(t, x, y), (t.rows, x, y)
 
 
 @settings(max_examples=40)
