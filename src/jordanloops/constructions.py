@@ -128,15 +128,18 @@ class AmalgamSpec:
         _check_blocks(self.block_quasigroups, needed_pairs, s)
 
 
-def _check_blocks(blocks: Mapping[tuple[int, int], MagmaTable], pairs, s: int) -> None:
-    """Require a quasigroup of order s in ``blocks`` for every pair."""
+def _check_blocks(blocks: Mapping[tuple[int, int], MagmaTable], pairs, s: int | None = None) -> int:
+    """Require a quasigroup of order s, by default the first pair's block's
+    order, in ``blocks`` for every pair; return s."""
     for pair in pairs:
         q = blocks.get(pair)
         if q is None:
             raise ValueError(f"missing block quasigroup for pair {pair}")
         _require_quasigroup(q, f"block for pair {pair}")
+        s = q.order if s is None else s
         if q.order != s:
             raise ValueError(f"block for pair {pair} must be a quasigroup of order {s}")
+    return s
 
 
 def quasigroup_amalgam(group: MagmaTable, blocks: Mapping[tuple[int, int], MagmaTable]) -> MagmaTable:
@@ -147,11 +150,7 @@ def quasigroup_amalgam(group: MagmaTable, blocks: Mapping[tuple[int, int], Magma
     """
     _require_quasigroup(group, "quasigroup_amalgam")
     k = group.order
-    sizes = {q.order for q in blocks.values()}
-    if len(sizes) != 1:
-        raise ValueError("all blocks must share one carrier size")
-    s = sizes.pop()
-    _check_blocks(blocks, ((g, h) for g in range(k) for h in range(k)), s)
+    s = _check_blocks(blocks, ((g, h) for g in range(k) for h in range(k)))
     n = s * k
     _check_order(n)
     rows = _lay_blocks([[0] * n for _ in range(n)], group.rows, s, lambda g, h: blocks[g, h].rows)

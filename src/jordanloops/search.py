@@ -598,8 +598,15 @@ class _Leftover:
     its squaring map or, when that is zero, its row 1.  G is never listed: a
     partial relabelling ``pi`` (-1 where unset), with its inverse ``inv``,
     is extended in place one forced chain at a time and restored from an
-    undo trail; every 256th step of a backtrack calls ``tick``.  Each
-    method leaves ``pi`` as it found it."""
+    undo trail; every 256th call of ``smaller`` calls ``tick``.  Each
+    method leaves ``pi`` as it found it.  Every pi that ``extend`` builds
+    extends to an element of G: it is injective, commutes with f, has a
+    domain closed under f and pairs cycles of equal length.  Each chain
+    starts at a pair of equal stable colour, which gives its f-images equal
+    colours and equal multisets of preimage colours, so by induction on
+    height equal colours have isomorphic trees of preimages.  Pairing the
+    unmapped preimages by colour extends pi over the mapped components, and
+    the unmapped components left on the two sides pair off by type."""
 
     def __init__(self, pt: PartialTable, tick):
         n, diagonal = pt.order, pt.cells[:: pt.order + 1]
@@ -609,21 +616,21 @@ class _Leftover:
         # an element only maps to one of its colour: split colours by the
         # colours of f(x) and of the preimages of x until none splits
         pre = [[y for y in range(n) if f[y] == x] for x in range(n)]
-        colour, self.colour = None, [0] * n
-        while colour != self.colour:
-            colour = self.colour
+        colour, new = None, [0] * n
+        while colour != new:
+            colour = new
             keys = [(colour[x], colour[f[x]], *sorted(colour[y] for y in pre[x])) for x in range(n)]
             rank = {key: r for r, key in enumerate(sorted(set(keys)))}
-            self.colour = [rank[key] for key in keys]
+            new = [rank[key] for key in keys]
         # the candidate images of x, in increasing order
-        self.peers = [[y for y in range(1, n) if self.colour[y] == self.colour[x]] for x in range(n)]
+        self.peers = [[y for y in range(1, n) if colour[y] == colour[x]] for x in range(n)]
 
     def extend(self, x: int, y: int) -> bool:
         """Also map x to y, f(x) to f(y) and so on; False on a conflict,
         which leaves the maps made so far for ``undo``."""
-        pi, inv, f, colour, trail = self.pi, self.inv, self.f, self.colour, self.trail
+        pi, inv, f, trail = self.pi, self.inv, self.f, self.trail
         while pi[x] < 0:
-            if inv[y] >= 0 or colour[x] != colour[y]:
+            if inv[y] >= 0:
                 return False
             pi[x], inv[y] = y, x
             trail.append(x)
@@ -638,30 +645,6 @@ class _Leftover:
             inv[pi[x]] = -1
             pi[x] = -1
 
-    def step(self):
-        """Count a step of a backtrack; every 256th calls ``tick``."""
-        self.steps += 1
-        if not self.steps & 255:
-            self.tick()
-
-    def complete(self, g: int = 1) -> bool:
-        """Whether an element of G extends pi: each image of the least
-        unmapped element, g or after it, is tried in turn."""
-        self.step()
-        pi, n = self.pi, self.n
-        while g < n and pi[g] >= 0:
-            g += 1
-        if g == n:
-            return True
-        mark, inv = len(self.trail), self.inv
-        for y in self.peers[g]:
-            if inv[y] < 0:
-                found = self.extend(g, y) and self.complete(g + 1)
-                self.undo(mark)
-                if found:
-                    return True
-        return False
-
     def orbits(self) -> list:
         """The least element of each element's G-orbit."""
         orbit = list(range(self.n))
@@ -669,7 +652,7 @@ class _Leftover:
             for x in self.peers[y]:
                 if x == y:
                     break
-                found = orbit[x] == x and self.extend(x, y) and self.complete()
+                found = orbit[x] == x and self.extend(x, y)
                 self.undo(0)
                 if found:
                     orbit[y] = x
@@ -682,7 +665,9 @@ class _Leftover:
         ``row`` before position k.  The image is built position by position:
         position k names its preimage j, then row[j] its image, and a branch
         ends once the image is larger."""
-        self.step()
+        self.steps += 1
+        if not self.steps & 255:
+            self.tick()
         if k == self.n:
             return False
         pi, inv, trail, rk = self.pi, self.inv, self.trail, row[k]
@@ -694,7 +679,7 @@ class _Leftover:
                 for t in [pi[v]] if pi[v] >= 0 else self.peers[v]:
                     if t > rk:
                         break
-                    if self.extend(v, t) and (t < rk and self.complete() or t == rk and self.smaller(row, k + 1)):
+                    if self.extend(v, t) and (t < rk or self.smaller(row, k + 1)):
                         self.undo(mark)
                         return True
                     self.undo(inner)

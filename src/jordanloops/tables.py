@@ -226,12 +226,19 @@ def squaring_bijective(table: MagmaTable) -> bool:
     return len({rows[x][x] for x in range(table.order)}) == table.order
 
 
+def _require_table(table, op: str):
+    if not isinstance(table, MagmaTable):
+        raise ValidationError(f"{op} requires a MagmaTable, got {type(table).__name__}")
+
+
 def _require_quasigroup(table: MagmaTable, op: str):
+    _require_table(table, op)
     if table.kind == "magma":
         raise ValueError(f"{op} requires a quasigroup or loop, got kind {table.kind!r}")
 
 
 def _require_loop(table: MagmaTable, op: str):
+    _require_table(table, op)
     if table.kind != "loop":
         raise ValueError(f"{op} requires a loop, got kind {table.kind!r}")
 
@@ -638,12 +645,13 @@ def _least_form(rows):
 def classify_up_to_iso(models) -> list[MagmaTable]:
     """One representative per isomorphism class: its lexicographically least
     member, representatives sorted the same way."""
-    models = sorted(models, key=lambda m: m.rows)
+    models = list(models)
+    for m in models:
+        _require_loop(m, "classify_up_to_iso")
+    models.sort(key=lambda m: m.rows)
     orders = {m.order for m in models}
     if len(orders) > 1:
         raise ValueError(f"mixed orders {sorted(orders)} cannot be classified together")
-    for m in models:
-        _require_loop(m, "classify_up_to_iso")
     buckets: dict = {}
     reps: list = []
     for m in models:

@@ -29,6 +29,8 @@ from jordanloops.constructions import (
     union_of_groups,
 )
 from jordanloops.powers import (
+    element_order,
+    is_power_associative,
     is_well_defined,
     parenthesization_set,
     power_profile,
@@ -37,15 +39,18 @@ from jordanloops.powers import (
     right_power,
 )
 from jordanloops.search import PartialTable, SearchOptions, enumerate_loops, propagate
+from jordanloops.structure import inner_left, is_normal, is_simple, normal_closure
 from jordanloops.tables import (
     ORDER_LIMIT,
     ValidationError,
     build_magma,
     check,
+    classify_up_to_iso,
     cyclic_group,
     direct_product,
     find_counterexample,
     find_isomorphism,
+    left_divide,
     opposite,
 )
 from oracle import output_digest
@@ -220,6 +225,44 @@ def test_non_int_argument_is_validation_error(name, value):
     # refused under the value given: even_jordan(8.0) once named the 7.0 it passed on
     with pytest.raises(ValidationError, match=f"must be an int, got {re.escape(repr(value))}$"):
         NON_INT_CALLS[name](value)
+
+
+# Each call is given a string where it expects a table (T is that argument)
+# and must refuse it with ValidationError, not an AttributeError.
+T = "x"
+NON_TABLE_CALLS = {
+    "find_isomorphism": lambda: find_isomorphism(Z3, T),
+    "left_divide": lambda: left_divide(T, 1, 1),
+    "classify_up_to_iso": lambda: classify_up_to_iso([Z3, T]),
+    "is_simple": lambda: is_simple(T),
+    "normal_closure": lambda: normal_closure(T, [1]),
+    "inner_left": lambda: inner_left(T, 1, 1),
+    "is_normal": lambda: is_normal(T, [0]),
+    "power_profile": lambda: power_profile(T, 1, 3),
+    "right_power": lambda: right_power(T, 1, 3),
+    "element_order": lambda: element_order(T, 1),
+    "is_power_associative": lambda: is_power_associative(T),
+    "hyper_extend": lambda: hyper_extend(T),
+    "idempotent_to_exp2": lambda: idempotent_to_exp2(T),
+    "exp2_to_idempotent": lambda: exp2_to_idempotent(T),
+    "guaranteed_jordan_conditions": lambda: guaranteed_jordan_conditions(T, Z3, Q3),
+    "union_of_groups": lambda: union_of_groups(T, [[0]], [Z3]),
+    "union_of_groups part": lambda: union_of_groups(Z3, [[0, 1, 2]], [T]),
+    "PartitionedQuasigroup": lambda: replace_subquasigroups(PartitionedQuasigroup(T, [(0,), (1,), (2,)]), {}),
+    "quasigroup_amalgam": lambda: quasigroup_amalgam(T, {(0, 0): Z2}),
+    "quasigroup_amalgam block": lambda: quasigroup_amalgam(Q3, {(g, h): T for g in range(3) for h in range(3)}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_TABLE_CALLS))
+def test_non_table_argument_is_validation_error(name):
+    with pytest.raises(ValidationError, match="requires a MagmaTable, got str$"):
+        NON_TABLE_CALLS[name]()
+
+
+def test_amalgam_names_its_first_missing_block():
+    with pytest.raises(ValueError, match=r"missing block quasigroup for pair \(0, 0\)"):
+        quasigroup_amalgam(Q3, {})
 
 
 class TestCorrespondence:

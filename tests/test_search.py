@@ -522,8 +522,18 @@ class TestClassPath:
         classes, stats = enumerate_loops(SearchOptions(order=11, up_to_iso=True))
         associative = [c for c in classes if check(c, "associative")]
         assert (len(classes), len(associative), stats.models_found) == (7, 1, 6168960)
+        assert (stats.nodes, stats.failures, stats.completions) == (45135, 60113, 129)
         assert find_isomorphism(associative[0], cyclic_group(11)) is not None
         assert sum(find_isomorphism(c, construct(11)) is not None for c in classes) == 1
+
+    @pytest.mark.slow
+    def test_order13_census(self):
+        classes, stats = enumerate_loops(SearchOptions(order=13, up_to_iso=True))
+        associative = [c for c in classes if check(c, "associative")]
+        assert (len(classes), len(associative)) == (57, 1)
+        assert find_isomorphism(associative[0], cyclic_group(13)) is not None
+        assert sum(factorial(12) // _least_form(c.rows)[1] for c in classes) == stats.models_found == 11535955200
+        assert (stats.nodes, stats.failures, stats.completions) == (4056614, 5995687, 697)
 
     @pytest.mark.slow
     def test_order10_census(self, capsys, monkeypatch):
@@ -713,6 +723,33 @@ class TestSymmetryBreaking:
                     assert a == min(x for x in range(1, order) if orbit.count(orbit[x]) == orbit.count(orbit[a]))
                     verdicts.add(least)
         assert verdicts == ({True, False} if order >= 6 else {True})
+
+    @pytest.mark.parametrize("order", [8, 9])
+    def test_chain_extension_matches_brute_force(self, order):
+        """Every map ``extend`` builds from pairs of ``peers`` extends to an
+        element of the leftover group, which is why ``orbits`` and
+        ``smaller`` search for none: checked against the whole group of
+        every seed, on random rows and random chains."""
+        rng = random.Random(order)
+        for pt in _seeds(order):
+            group = _seed_group(pt)
+            left = _Leftover(pt, lambda: None)
+            assert left.orbits() == group_orbits(group, order)
+            for a in range(1, order):
+                left.extend(a, a)
+                for _ in range(5):
+                    row = [a] + rng.sample([v for v in range(order) if v != a], order - 1)
+                    assert left.smaller(row) != least_under_stabiliser(group, row), (pt, row)
+                left.undo(0)
+            for _ in range(10):
+                for _ in range(order):
+                    x = rng.randrange(1, order)
+                    mark = len(left.trail)
+                    if not left.extend(x, rng.choice(left.peers[x])):
+                        left.undo(mark)
+                pi = left.pi
+                assert any(all(v < 0 or p[x] == v for x, v in enumerate(pi)) for p in group), (pt, pi)
+                left.undo(0)
 
     def test_exponent2_classes_are_one_factorisations(self):
         """An exponent-2 commutative loop of order 8 is a one-factorisation of
