@@ -136,6 +136,7 @@ def _check_kind(table: MagmaTable) -> MagmaTable:
 
 def identity_element(table: MagmaTable) -> int | None:
     """The two-sided identity, wherever it sits, or None."""
+    _require_table(table, "identity_element")
     rows = table.rows
     n = table.order
     for e in range(n):
@@ -148,6 +149,7 @@ def find_counterexample(table: MagmaTable, prop: PropertyTag) -> str | None:
     """None if ``prop`` holds, else a description of the first violation."""
     if prop not in PROPERTY_TAGS:
         raise ValueError(f"unknown property {prop!r}")
+    _require_table(table, "a property check")
     rows = table.rows
     n = table.order
     if prop == "latin":
@@ -222,6 +224,7 @@ def check(table: MagmaTable, prop: PropertyTag) -> bool:
 
 def squaring_bijective(table: MagmaTable) -> bool:
     """Is x -> x*x a bijection?"""
+    _require_table(table, "squaring_bijective")
     rows = table.rows
     return len({rows[x][x] for x in range(table.order)}) == table.order
 
@@ -334,6 +337,7 @@ def _right_powers(row) -> list:
 
 def opposite(table: MagmaTable) -> MagmaTable:
     """The transposed table: x *' y = y*x."""
+    _require_table(table, "opposite")
     # the transpose of a Latin table is Latin, and 0 stays a two-sided identity
     return _freeze(table.order, list(zip(*table.rows)), table.kind)
 
@@ -360,6 +364,8 @@ def _overlay(rows, table, members):
 
 def direct_product(a: MagmaTable, b: MagmaTable) -> MagmaTable:
     """Componentwise product on pairs, pair (i, j) encoded as i*|B| + j."""
+    _require_table(a, "direct_product")
+    _require_table(b, "direct_product")
     n = a.order * b.order
     _check_order(n)
     kind = KINDS[min(KINDS.index(a.kind), KINDS.index(b.kind))]
@@ -697,6 +703,7 @@ def _cells_text(n: int):
 
 def serialize_table(table: MagmaTable) -> str:
     """Render as the plain-text wire format: the lines of ``_table_lines``."""
+    _require_table(table, "serialize_table")
     return "".join(_table_lines(table))
 
 

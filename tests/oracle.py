@@ -85,6 +85,61 @@ def labelled_reference(order: int, require_jordan: bool):
     return tables, stats
 
 
+def closure_reference(order: int, cells):
+    """The cells closed under the propagation rules, each applied to every
+    line and every Jordan instance in rounds until a round sets nothing;
+    None once the cells contradict.  The rules: a set cell sets its mirror;
+    a line with one unset cell takes the one symbol it lacks; no line
+    repeats a symbol; the diagonal can still give every symbol a count of
+    the order's parity; and in an instance s*p = q*x, with s = x*x set,
+    p = y*x and q = s*y, a lone unknown is forced: one side by the other,
+    p as the column of q*x in row s, q as the column of s*p in row x."""
+    n = order
+    rows = [list(cells[i * n:(i + 1) * n]) for i in range(n)]
+    while True:
+        forced = []
+        for i in range(n):
+            forced += [(j, i, v) for j, v in enumerate(rows[i]) if v >= 0]
+            unset = [j for j in range(n) if rows[i][j] < 0]
+            lacking = set(range(n)) - set(rows[i])
+            if len(unset) == 1 and len(lacking) == 1:
+                forced.append((i, unset[0], lacking.pop()))
+        for x in range(n):
+            s = rows[x][x]
+            for y in range(n) if s >= 0 else ():
+                p, q = rows[y][x], rows[s][y]
+                lhs = rows[s][p] if p >= 0 else -1
+                rhs = rows[q][x] if q >= 0 else -1
+                if p >= 0 and q >= 0:
+                    if lhs >= 0 and rhs >= 0 and lhs != rhs:
+                        return None
+                    if lhs < 0 <= rhs:
+                        forced.append((s, p, rhs))
+                    if rhs < 0 <= lhs:
+                        forced.append((q, x, lhs))
+                elif p < 0 and rhs >= 0 and rhs in rows[s]:
+                    forced.append((y, x, rows[s].index(rhs)))
+                elif q < 0 and lhs >= 0 and lhs in rows[x]:
+                    forced.append((s, y, rows[x].index(lhs)))
+        grew = False
+        for i, j, v in forced:
+            if rows[i][j] < 0:
+                rows[i][j] = v
+                grew = True
+            elif rows[i][j] != v:
+                return None
+        for line in rows:
+            symbols = [v for v in line if v >= 0]
+            if len(symbols) != len(set(symbols)):
+                return None
+        diagonal = [rows[x][x] for x in range(n)]
+        wrong = sum(diagonal.count(v) % 2 != n % 2 for v in range(n))
+        if wrong > diagonal.count(-1) or (diagonal.count(-1) - wrong) % 2:
+            return None
+        if not grew:
+            return tuple(v for row in rows for v in row)
+
+
 def latin_violation_reference(rows, n):
     """First duplicated symbol, columns scanned before rows, cell by cell:
     the scan ``tables._latin_violation`` makes only inside a failing line."""

@@ -50,8 +50,11 @@ from jordanloops.tables import (
     direct_product,
     find_counterexample,
     find_isomorphism,
+    identity_element,
     left_divide,
     opposite,
+    serialize_table,
+    squaring_bijective,
 )
 from oracle import output_digest
 
@@ -251,6 +254,15 @@ NON_TABLE_CALLS = {
     "PartitionedQuasigroup": lambda: replace_subquasigroups(PartitionedQuasigroup(T, [(0,), (1,), (2,)]), {}),
     "quasigroup_amalgam": lambda: quasigroup_amalgam(T, {(0, 0): Z2}),
     "quasigroup_amalgam block": lambda: quasigroup_amalgam(Q3, {(g, h): T for g in range(3) for h in range(3)}),
+    "check": lambda: check(T, "jordan"),
+    "find_counterexample": lambda: find_counterexample(T, "latin"),
+    "squaring_bijective": lambda: squaring_bijective(T),
+    "opposite": lambda: opposite(T),
+    "direct_product": lambda: direct_product(Z3, T),
+    "direct_product first": lambda: direct_product(T, Z3),
+    "serialize_table": lambda: serialize_table(T),
+    "identity_element": lambda: identity_element(T),
+    "PartialTable.from_table": lambda: PartialTable.from_table(T),
 }
 
 
