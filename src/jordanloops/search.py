@@ -93,9 +93,9 @@ class SearchStats:
     refutes it; the search of the seed's row a, and the tree searched from
     each filled row kept, add their own nodes and failures.  At order 9
     that is 392 nodes, against 157,753 for the labelled tree from the blank
-    table.  ``completions`` counts the tables the seeds completed, each
-    keyed by its least form; the exponent-2 seeds complete only those their
-    row-1 cut keeps (49 of 81 at order 8).  ``models_found`` is
+    table.  ``completions`` counts the tables the seeds yield, each keyed
+    by its least form; the exponent-2 seeds yield only those their row-1
+    cut keeps (49 of 81 at order 8).  ``models_found`` is
     the sum of (n-1)!/|Aut L| over the classes kept, the number of labelled
     models."""
 
@@ -270,12 +270,11 @@ class _State:
     def check_instance(self, x: int, y: int) -> bool:
         """Jordan instance (x*x)*(y*x) = ((x*x)*y)*x; forces a lone unknown.
         With s = x*x, p = y*x and q = s*y, an unknown p is the column of q*x
-        in row s, and an unknown q the column of s*p in row x."""
+        in row s, and an unknown q the column of s*p in row x.  The square s
+        must be set; the search only passes an x with s > 0."""
         n = self.n
         T = self.T
         s = T[x * n + x]
-        if s < 0:
-            return True
         sn = s * n
         p = T[y * n + x]
         q = T[sn + y]
@@ -458,12 +457,12 @@ def _check_limits(options: SearchOptions, stats: SearchStats, start: float):
     raise SearchIncomplete(f"{spent} hit before the order-{options.order} space was exhausted", stats)
 
 
-def _run(state: _State, options: SearchOptions, stats: SearchStats, found, tick, select=None, cut=None):
+def _run(state: _State, options: SearchOptions, stats: SearchStats, tick, select=None, cut=None):
     """Depth-first search on an explicit stack of (i, j, remaining candidates,
     trail mark) frames, so depth is not bounded by the recursion limit.
-    ``select`` (``state.select`` by default) gives each decision cell,
-    ``found`` is called with the cells of each state where it gives None,
-    and ``tick`` on every 256th node and on each node past the node limit.
+    ``select`` (``state.select`` by default) gives each decision cell; the
+    cells of each state where it gives None are yielded, and ``tick`` is
+    called on every 256th node and on each node past the node limit.
     A state where ``cut(mark)`` holds, mark being the trail's length before
     the state's own assignments, is counted as a node and left."""
     select = select or state.select
@@ -478,7 +477,7 @@ def _run(state: _State, options: SearchOptions, stats: SearchStats, found, tick,
         if cut is None or not cut(mark):
             sel = select()
             if sel is None:
-                found(tuple(state.T))
+                yield tuple(state.T)
             else:
                 i, j, c = sel
                 stack.append((i, j, c, len(trail)))
@@ -738,10 +737,10 @@ def _row1_cut(state: _State):
     return cut
 
 
-def _search_seed(pt: PartialTable, options: SearchOptions, stats: SearchStats, found, tick):
-    """Call ``found`` with the cells of each of the seed's completions whose
-    row a is least and, for a zero diagonal, whose L_1 gives the least row 1
-    (see the module docstring)."""
+def _search_seed(pt: PartialTable, options: SearchOptions, stats: SearchStats, tick):
+    """Yield the cells of each of the seed's completions whose row a is
+    least and, for a zero diagonal, whose L_1 gives the least row 1 (see the
+    module docstring)."""
     n = options.order
     stats.nodes += 1
     tick()
@@ -755,40 +754,9 @@ def _search_seed(pt: PartialTable, options: SearchOptions, stats: SearchStats, f
     group.extend(a, a)
     row = slice(a * n, a * n + n)
     cut = _row1_cut(state) if n > 1 and not any(pt.cells[:: n + 1]) else None
-    if cut is not None and cut(0):
-        return
-
-    def keep(cells):
+    for cells in _run(state, options, stats, tick, partial(state.select_in, a), cut):
         if not group.smaller(cells[row]):
-            _run(state, options, stats, found, tick, cut=cut)
-
-    _run(state, options, stats, keep, tick, partial(state.select_in, a), cut)
-
-
-def _class_representatives(options: SearchOptions, stats: SearchStats, tick) -> list[MagmaTable]:
-    """The least form of each isomorphism class: every completion is keyed
-    by its least form as the search finds it, and then calls ``tick``."""
-    n = options.order
-    labellings = factorial(n - 1)
-    forms = {}
-
-    def found(cells):
-        least, automorphisms = _least_form([cells[i * n:(i + 1) * n] for i in range(n)])
-        forms[least] = automorphisms
-        stats.completions += 1
-        tick()
-
-    for pt in _class_seeds(n):
-        _search_seed(pt, options, stats, found, tick)
-    reps = []
-    for rows, automorphisms in forms.items():
-        # associativity is an isomorphism invariant, so the least form
-        # decides it for the class
-        if not (options.nonassociative_only and _associativity_witness(rows, range(n)) is None):
-            stats.models_found += labellings // automorphisms
-            # a least form relabels a loop fixing 0: no need for build_magma
-            reps.append(MagmaTable(n, rows, "loop"))
-    return reps
+            yield from _run(state, options, stats, tick, cut=cut)
 
 
 def _orbit(rows, tick=lambda: None) -> set:
@@ -894,7 +862,22 @@ def enumerate_loops(options: SearchOptions) -> tuple[list[MagmaTable], SearchSta
     stats = SearchStats()
     start = time.monotonic()
     tick = partial(_check_limits, options, stats, start)
-    tables = sorted(_class_representatives(options, stats, tick), key=lambda t: t.rows)
+    labellings = factorial(n - 1)
+    forms = {}
+    for pt in _class_seeds(n):
+        for cells in _search_seed(pt, options, stats, tick):
+            least, automorphisms = _least_form([cells[i * n : i * n + n] for i in range(n)])
+            forms[least] = automorphisms
+            stats.completions += 1
+            tick()
+    tables = []
+    for rows, automorphisms in sorted(forms.items()):
+        # associativity is an isomorphism invariant, so the least form
+        # decides it for the class
+        if not (options.nonassociative_only and _associativity_witness(rows, range(n)) is None):
+            stats.models_found += labellings // automorphisms
+            # a least form relabels a loop fixing 0: no need for build_magma
+            tables.append(MagmaTable(n, rows, "loop"))
     stats.models_after_iso = len(tables)
     stats.seconds = time.monotonic() - start
     return tables[: options.result_limit], stats

@@ -75,10 +75,8 @@ def labelled_reference(order: int, require_jordan: bool):
     instead of an expansion of the class representatives.  Returns
     (tables, stats); the stats describe that labelled tree."""
     stats = SearchStats()
-    raw: list = []
     start = time.monotonic()
-    _run(_State(order, require_jordan), SearchOptions(order, require_jordan), stats, raw.append, lambda: None)
-    raw.sort()
+    raw = sorted(_run(_State(order, require_jordan), SearchOptions(order, require_jordan), stats, lambda: None))
     tables = [build_magma(order, [c[i * order:(i + 1) * order] for i in range(order)], "loop") for c in raw]
     stats.models_found = stats.models_after_iso = len(tables)
     stats.seconds = time.monotonic() - start

@@ -60,6 +60,10 @@ class TestConstruct:
         err = capsys.readouterr().err
         assert "valid orders" in err
 
+    def test_unwritable_out_is_parameter_error(self, tmp_path, capsys):
+        assert run(["construct", "--order", "6", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}: ")
+
 
 class TestVerify:
     def test_all_pass(self, tmp_path, capsys):
@@ -106,6 +110,16 @@ class TestVerify:
     def test_exponent_two_without_identity_is_parameter_error(self, tmp_path, capsys):
         f = write(tmp_path, "q.txt", "order 3\nkind quasigroup\n0 2 1\n2 1 0\n1 0 2\n")
         assert run(["verify", "-p", "exponent-two", f]) == 2
+
+    def test_malformed_file(self, tmp_path, capsys):
+        f = write(tmp_path, "bad.txt", "order 3\nkind loop\n0 1 2\n1 x 0\n2 0 1\n")
+        assert run(["verify", "-p", "latin", f]) == 2
+        assert capsys.readouterr().err == f"error: {f}: bad table row '1 x 0'\n"
+
+    def test_file_without_tables(self, tmp_path, capsys):
+        f = write(tmp_path, "empty.txt", "# only a comment\n")
+        assert run(["verify", "-p", "latin", f]) == 2
+        assert capsys.readouterr().err == f"error: {f}: no tables found\n"
 
 
 class TestSearch:

@@ -53,6 +53,7 @@ from jordanloops.tables import (
     identity_element,
     left_divide,
     opposite,
+    parse_table,
     serialize_table,
     squaring_bijective,
 )
@@ -275,6 +276,67 @@ def test_non_table_argument_is_validation_error(name):
 def test_amalgam_names_its_first_missing_block():
     with pytest.raises(ValueError, match=r"missing block quasigroup for pair \(0, 0\)"):
         quasigroup_amalgam(Q3, {})
+
+
+# A noncommutative loop of order 5: 1*2 = 3 but 2*1 = 4.
+NONCOMMUTATIVE5 = build_magma(
+    5, [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]], "loop")
+Z3_SQUARED = direct_product(Z3, Z3)
+# a*b = a + 2b mod 3 breaks the Jordan law: x*x = 0, and 0*(y*x) = 2y + x
+# but (0*y)*x = 2y + 2x.
+NON_JORDAN3 = build_magma(3, [[(a + 2 * b) % 3 for b in range(3)] for a in range(3)], "quasigroup")
+
+# Each call breaks one argument guard, with every other argument valid:
+# (call, exception, fragment of the message).
+ARGUMENT_GUARDS = {
+    "AmalgamSpec carrier size": (
+        lambda: AmalgamSpec(Q3, 0, {}, {}).validate(()), ValueError, "carrier size must be positive, got 0"),
+    "AmalgamSpec missing diagonal": (
+        lambda: AmalgamSpec(Q3, 2, {}, {}).validate(()), ValueError, "missing diagonal loop for 0"),
+    "AmalgamSpec diagonal order": (
+        lambda: amalgam_spec(diagonal=Z2).validate(OFF_DIAGONAL), ValueError,
+        "diagonal loop for 0 must be a loop of order 3"),
+    "AmalgamSpec block order": (
+        lambda: amalgam_spec(block=Z3).validate(OFF_DIAGONAL), ValueError,
+        "block for pair (0, 1) must be a quasigroup of order 2"),
+    "union_of_groups part count": (
+        lambda: union_of_groups(Z3_SQUARED, G9_PARTS, [Z2]), ValueError, "need one quasigroup per part"),
+    "union_of_groups identity": (
+        lambda: union_of_groups(Z3_SQUARED, [(3, 6), *G9_PARTS[1:]], [Z2] * 4), ValueError,
+        "every part must contain the identity 0"),
+    "union_of_groups non-Jordan part": (
+        lambda: union_of_groups(cyclic_group(4), [(0, 1, 2, 3)], [NON_JORDAN3]), ValueError,
+        "quasigroup 0 is not a Jordan quasigroup"),
+    "replace_subquasigroups missing": (
+        lambda: replace_subquasigroups(PartitionedQuasigroup(Q3, SINGLETONS), {}), ValueError,
+        "missing replacement loop for block 0"),
+    "replace_subquasigroups order": (
+        lambda: replace_subquasigroups(PartitionedQuasigroup(Q3, SINGLETONS), {0: Z3, 1: Z2, 2: Z2}),
+        ValueError, "replacement 0 must be a loop of order 2"),
+    "hyper_extend noncommutative": (
+        lambda: hyper_extend(NONCOMMUTATIVE5), ValueError, "input must be a commutative loop"),
+    "power_profile max_k": (
+        lambda: power_profile(Z3, 1, 0), ValueError, "exponent must be positive, got 0"),
+    "is_well_defined k": (
+        lambda: is_well_defined(Z3, 1, -1), ValueError, "exponent must be nonnegative, got -1"),
+    "parse_table order": (
+        lambda: parse_table("order x\nkind loop\n"), ValidationError, "bad order 'x'"),
+    "MagmaTable attribute": (
+        lambda: setattr(Z3, "order", 4), AttributeError, "MagmaTable is immutable"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARGUMENT_GUARDS))
+def test_argument_guard(name):
+    call, exception, fragment = ARGUMENT_GUARDS[name]
+    with pytest.raises(exception, match=re.escape(fragment)):
+        call()
+
+
+def test_exponent_two_witness_on_a_non_latin_table():
+    # 0 is an identity, so the Latin check runs and names the repeat
+    table = build_magma(3, [[0, 1, 2], [1, 1, 0], [2, 0, 1]], "magma")
+    assert find_counterexample(table, "exponent-two") == "column 1 repeats symbol 1"
 
 
 class TestCorrespondence:

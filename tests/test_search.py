@@ -2,6 +2,7 @@ import itertools
 import random
 import re
 import time
+from contextlib import contextmanager
 from functools import lru_cache, partial
 from math import factorial
 from pathlib import Path
@@ -19,10 +20,13 @@ from jordanloops.search import (
     SearchStats,
     _check_limits,
     _class_seeds,
+    _exponent2_seeds,
     _Leftover,
     _orbit,
+    _row1_cut,
     _run,
     _search_seed,
+    _seeded,
     _squaring_classes,
     _State,
     classify_up_to_iso,
@@ -401,6 +405,62 @@ def test_propagate_matches_closure_reference(searched, data):
         assert propagate(out).cells == out.cells
 
 
+@contextmanager
+def squares_read():
+    """The square x*x that the table holds at each call of
+    ``_State.check_instance`` made inside the block."""
+    check = _State.check_instance
+    squares = []
+
+    def spy(self, x, y):
+        squares.append(self.T[x * self.n + x])
+        return check(self, x, y)
+
+    _State.check_instance = spy
+    try:
+        yield squares
+    finally:
+        _State.check_instance = check
+
+
+@pytest.mark.parametrize("order", range(6, 10))
+def test_class_search_checks_only_set_nonzero_squares(order):
+    """``check_instance`` reads x*x unguarded: the class search calls it
+    only with x*x set and nonzero."""
+    with squares_read() as squares:
+        enumerate_loops(SearchOptions(order=order, up_to_iso=True))
+    assert squares and min(squares) > 0
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_propagate_checks_only_set_nonzero_squares(searched, data):
+    pt = data.draw(closure_inputs(searched))
+    with squares_read() as squares:
+        propagate(pt)
+    assert all(s > 0 for s in squares)
+
+
+def test_zero_diagonal_roots_leave_the_row1_cut_nothing():
+    """At the root of a zero-diagonal seed, no row x >= 2 is full unless
+    L_1 has only 2-cycles, when ``_row1_cut`` gives no cut; so the cut,
+    which reads only full rows, never leaves a root."""
+    for n in range(2, 21, 2):
+        cells = list(PartialTable.blank(n).cells)
+        cells[:: n + 1] = [0] * n
+        seeds = list(_exponent2_seeds(n, cells))
+        if n <= 12:  # the zero-diagonal seeds of _class_seeds, which is slow past that
+            assert seeds == [pt for pt in _class_seeds(n) if not any(pt.cells[:: n + 1])]
+        for pt in seeds:
+            row1 = pt.cells[n : 2 * n]
+            for require_jordan in (True, False):
+                state = _seeded(pt, require_jordan)
+                if all(row1[row1[x]] == x for x in range(n)):
+                    assert _row1_cut(state) is None
+                else:
+                    assert all(state.free[2:]), (n, row1, require_jordan)
+
+
 @pytest.mark.parametrize("order,require_jordan", sorted(TREE_SHAPES))
 def test_search_tree_shape(searched, order, require_jordan):
     _, stats = searched(order, require_jordan)
@@ -419,7 +479,7 @@ def test_labelled_engine_deeper_than_recursion_limit():
     options = SearchOptions(order=64, require_jordan=False, node_limit=5000)
     stats = SearchStats()
     with pytest.raises(SearchIncomplete, match="node limit 5000 hit"):
-        _run(_State(64, False), options, stats, [].append, partial(_check_limits, options, stats, time.monotonic()))
+        list(_run(_State(64, False), options, stats, partial(_check_limits, options, stats, time.monotonic())))
     assert stats.nodes == 5001
 
 
@@ -700,7 +760,7 @@ class TestExponent2Filter:
             raw = []
             for pt in _class_seeds(order):
                 if not any(pt.cells[:: order + 1]):
-                    _search_seed(pt, SearchOptions(order), SearchStats(), raw.append, lambda: None)
+                    raw += _search_seed(pt, SearchOptions(order), SearchStats(), lambda: None)
             return [tuple(c[i : i + order] for i in range(0, order * order, order)) for c in raw]
 
         cut = completions()
@@ -787,7 +847,7 @@ class TestSymmetryBreaking:
             assert orbit == group_orbits(group, order)
             for require_jordan in (True, False):
                 rows.clear()
-                _search_seed(pt, SearchOptions(order, require_jordan), SearchStats(), [].append, lambda: None)
+                list(_search_seed(pt, SearchOptions(order, require_jordan), SearchStats(), lambda: None))
                 for row, least in rows:
                     assert least == least_under_stabiliser(group, row)
                     a = row[0]  # the filled row is row a
@@ -844,7 +904,7 @@ class TestSymmetryBreaking:
         assert _Leftover(pt, lambda: None).orbits() == [0, 1] + [2] * (n - 2)
         options, stats, start = SearchOptions(order=n, time_budget=1), SearchStats(), time.monotonic()
         try:
-            _search_seed(pt, options, stats, [].append, partial(_check_limits, options, stats, start))
+            list(_search_seed(pt, options, stats, partial(_check_limits, options, stats, start)))
         except SearchIncomplete:
             pass
         assert time.monotonic() - start < 1.5
