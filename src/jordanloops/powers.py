@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice
 
 from .tables import (
     _LABELS,
@@ -43,12 +43,25 @@ def right_power(table: MagmaTable, c: int, k: int) -> int:
 def _parenthesization_sets(rows, c: int):
     """Yield the parenthesization set of c^k for k = 1, 2, ...: the values
     of every product of k factors c, split at its outermost product into
-    i and k - i factors."""
+    i and k - i factors.
+
+    At most 2m - 2 sets take products, m being the length of c's
+    right-power cycle: when sets 1..2m-2 are singletons, c^i * c^j =
+    c^((i+j) mod m) for all i, j < m, so <c> is cyclic and every later set
+    is the singleton c^(k mod m).
+    """
+    powers = _right_powers(rows[c])
+    m = len(powers)
     sets = [None, frozenset((c,))]
     while True:
         yield sets[-1]
         k = len(sets)
+        if k == 2 * m - 1 and all(len(s) == 1 for s in sets[1:]):
+            break
         sets.append(frozenset({rows[a][b] for i in range(1, k) for a in sets[i] for b in sets[k - i]}))
+    singletons = [frozenset((p,)) for p in powers]
+    for k in count(k):
+        yield singletons[k % m]
 
 
 def power_profile(table: MagmaTable, c: int, max_k: int, cap: int = DEFAULT_EXPONENT_CAP) -> list:
@@ -79,9 +92,8 @@ def is_well_defined(table: MagmaTable, c: int, k: int) -> bool:
     The first parenthesization set that is not a singleton ends the walk:
     while sets 1..j-1 are singletons c^i, set j is a singleton exactly when
     every split c^i * c^(j-i) agrees.  The walk needs at most 2m sets, m
-    being the length of c's right-power cycle: when sets 1..2m-2 are
-    singletons, c^i * c^j = c^((i+j) mod m) for all i, j < m, so <c> is
-    cyclic and every later set is the singleton c^(k mod m).
+    being the length of c's right-power cycle, by the rule that
+    ``_parenthesization_sets`` applies past set 2m - 2.
     """
     _require_loop(table, "is_well_defined")
     _check_element(table, c)

@@ -597,13 +597,18 @@ def _class_seeds(n: int):
     S_(n-1) as symmetry, also gets row 1: in an exponent-2 loop L_a swaps 0
     and a and moves every other point, so relabelling a to 1 and then
     conjugating by permutations that fix 0 and 1 reaches row 1 = (1, 0, d)
-    with d one derangement of 2..n-1 per cycle type."""
-    blank = PartialTable.blank(n).cells
+    with d one derangement of 2..n-1 per cycle type.
+
+    Each seed is valid by construction, so it is built by ``_unchecked``:
+    the border is the identity, a squaring map fixes no x > 0, and row 1
+    of a zero diagonal is 1, 0 and a derangement of 2..n-1."""
+    blank = [-1] * (n * n)
+    blank[:n] = blank[::n] = range(n)
     for sq in _squaring_classes(n):
         cells = list(blank)
         cells[:: n + 1] = sq
         if n & 1 or any(sq):
-            yield PartialTable(n, tuple(cells))
+            yield _unchecked(n, tuple(cells))
         else:
             yield from _exponent2_seeds(n, cells)
 
@@ -615,7 +620,20 @@ def _exponent2_seeds(n: int, cells: list):
         for (p,) in lengths:
             row += _rotation(p, len(row))
         cells[n : 2 * n] = row
-        yield PartialTable(n, tuple(cells))
+        yield _unchecked(n, tuple(cells))
+
+
+def _unchecked(n: int, cells: tuple) -> PartialTable:
+    """The ``PartialTable`` of cells that are valid by construction, built
+    without ``__post_init__``'s checks of every cell, as ``tables._freeze``
+    freezes a table.  A valid line holds each symbol once, so the sum of
+    its symbols' bits is its mask."""
+    pt = object.__new__(PartialTable)
+    lines = [cells[i * n : i * n + n] for i in range(n)] + [cells[j::n] for j in range(n)]
+    masks = tuple(sum(1 << v for v in line if v >= 0) for line in lines)
+    for name, value in zip(("order", "cells", "row_masks", "col_masks"), (n, cells, masks[:n], masks[n:])):
+        object.__setattr__(pt, name, value)
+    return pt
 
 
 class _Leftover:

@@ -43,7 +43,14 @@ class ValidationError(ValueError):
 
 
 class MagmaTable:
-    """Immutable multiplication table with a validated kind claim."""
+    """Immutable multiplication table with a validated kind claim.
+
+    A "quasigroup" or "loop" table is Latin, and a "loop" table has 0 as its
+    two-sided identity: ``build_magma`` and the parser check the claim, and
+    each builder that skips them (``_freeze``) makes tables valid by
+    construction.  ``find_counterexample`` answers from the kind alone where
+    the claim settles a property.
+    """
 
     __slots__ = ("order", "kind", "rows")
 
@@ -152,10 +159,11 @@ def find_counterexample(table: MagmaTable, prop: PropertyTag) -> str | None:
     _require_table(table, "a property check")
     rows = table.rows
     n = table.order
+    latin = table.kind != "magma"
     if prop == "latin":
-        return _latin_violation(rows, n)
+        return None if latin else _latin_violation(rows, n)
     if prop == "has-identity":
-        if identity_element(table) is None:
+        if table.kind != "loop" and identity_element(table) is None:
             return "no two-sided identity element"
         return None
     if prop == "commutative":
@@ -179,10 +187,10 @@ def find_counterexample(table: MagmaTable, prop: PropertyTag) -> str | None:
                 return f"x={x}: x*x={rows[x][x]}"
         return None
     if prop == "exponent-two":
-        e = identity_element(table)
+        e = 0 if table.kind == "loop" else identity_element(table)
         if e is None:
             raise ValueError("exponent-two is undefined on a table with no identity element")
-        bad = _latin_violation(rows, n)
+        bad = None if latin else _latin_violation(rows, n)
         if bad is not None:
             return bad
         for x in range(n):
@@ -383,26 +391,29 @@ def cyclic_group(n: int) -> MagmaTable:
 
 # -- isomorphism ---------------------------------------------------------
 
-def _element_keys(rows):
+def _element_keys(rows, defect: bool = False):
     """Cheap isomorphism-invariant data, as a list indexed by element x of a
     loop: its right-power order (the least k >= 1 whose k-fold right power
-    x*(x*(...*x)) is 0), its commutant size, the tail and cycle lengths of
-    its iterated-squaring walk, and its right-alternative defect count
-    #{y : (x*y)*y != x*(y*y)}."""
+    x*(x*(...*x)) is 0), its commutant size and the tail and cycle lengths
+    of its iterated-squaring walk.  With ``defect``, also its
+    right-alternative defect count #{y : (x*y)*y != x*(y*y)}: an O(n^2)
+    term that ``classify_up_to_iso`` pays to keep its buckets small, while
+    ``find_isomorphism`` leaves a pair it alone separates to the matcher."""
     n = len(rows)
     cols = list(zip(*rows))
     square = [rows[x][x] for x in range(n)]
     keys = []
     for x, rx in enumerate(rows):
-        order = len(_right_powers(rx))
         seen = {}
         v = x
         while v not in seen:
             seen[v] = len(seen)
             v = square[v]
         tail = seen[v]
-        defect = sum(1 for cy, xy, yy in zip(cols, rx, square) if cy[xy] != rx[yy])
-        keys.append((order, sum(map(eq, rx, cols[x])), tail, len(seen) - tail, defect))
+        key = (len(_right_powers(rx)), sum(map(eq, rx, cols[x])), tail, len(seen) - tail)
+        if defect:
+            key += (sum(1 for cy, xy, yy in zip(cols, rx, square) if cy[xy] != rx[yy]),)
+        keys.append(key)
     return keys
 
 
@@ -417,11 +428,23 @@ def _match(r1, keys1, r2, keys2) -> Permutation | None:
     ``mapped`` back to its mark.  After a successful ``extend``, ``mapped``
     is the subloop generated so far, so the least unmapped element is the
     next greedy generator: the least element outside that subloop.  Each
-    one at least doubles it, so there are at most log2(n) of them."""
+    one at least doubles it, so there are at most log2(n) of them.
+
+    Once a candidate image of a generator g has failed, a later candidate c
+    is tried only when L_c has the cycle type of L_g, as an isomorphism pi
+    has pi L_g pi^-1 = L_pi(g).  The types are computed on first use, as
+    ``_perm_cycles`` lengths, since most generators take their first
+    candidate."""
     n = len(r1)
     pi = [-1] * n
     used = [False] * n
     mapped = []
+    types1, types2 = {}, {}
+
+    def cycle_type(rows, types, x):
+        if x not in types:
+            types[x] = list(map(len, _perm_cycles(rows[x])))
+        return types[x]
 
     def extend(a, b, mark):
         """Set pi[a] = b and close the map under products; False on a conflict."""
@@ -453,8 +476,11 @@ def _match(r1, keys1, r2, keys2) -> Permutation | None:
             return True
         g = pi.index(-1)
         mark = len(mapped)
+        failed = False
         for cand in range(n):
             if used[cand] or keys1[g] != keys2[cand]:
+                continue
+            if failed and cycle_type(r2, types2, cand) != cycle_type(r1, types1, g):
                 continue
             if extend(g, cand, mark) and search():
                 return True
@@ -462,6 +488,7 @@ def _match(r1, keys1, r2, keys2) -> Permutation | None:
                 used[pi[a]] = False
                 pi[a] = -1
             del mapped[mark:]
+            failed = True
         return False
 
     return tuple(pi) if extend(0, 0, 0) and search() else None
@@ -662,7 +689,7 @@ def classify_up_to_iso(models) -> list[MagmaTable]:
     reps: list = []
     for m in models:
         rows = m.rows
-        keys = _element_keys(rows)
+        keys = _element_keys(rows, defect=True)
         bucket = buckets.setdefault(tuple(sorted(keys)), [])
         if all(_match(rows, keys, r, r_keys) is None for r, r_keys in bucket):
             bucket.append((rows, keys))

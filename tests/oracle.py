@@ -7,6 +7,7 @@ labelled tree.  The output digest pins whole lists of tables.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import time
@@ -157,6 +158,28 @@ def latin_violation_reference(rows, n):
     return None
 
 
+def properties_reference(rows) -> dict:
+    """Each property tag's verdict on the table ``rows``, from its
+    definition over every tuple of elements."""
+    n = len(rows)
+    r = range(n)
+    lines = [list(row) for row in rows] + [[rows[i][j] for i in r] for j in r]
+    latin = all(sorted(line) == list(r) for line in lines)
+    identities = [e for e in r if all(rows[e][x] == x == rows[x][e] for x in r)]
+    commutative = all(rows[x][y] == rows[y][x] for x in r for y in r)
+    return {
+        "latin": latin,
+        "has-identity": bool(identities),
+        "commutative": commutative,
+        "associative": all(rows[rows[x][y]][z] == rows[x][rows[y][z]] for x in r for y in r for z in r),
+        "idempotent": all(rows[x][x] == x for x in r),
+        "exponent-two": latin and bool(identities) and all(rows[x][x] == identities[0] for x in r),
+        "left-alternative": all(rows[x][rows[x][y]] == rows[rows[x][x]][y] for x in r for y in r),
+        "jordan": commutative and all(
+            rows[rows[x][x]][rows[y][x]] == rows[rows[rows[x][x]][y]][x] for x in r for y in r),
+    }
+
+
 def build_magma_reference(order: int, rows, kind: str = "magma") -> MagmaTable:
     """``tables.build_magma`` checking every cell on its own, in the order
     that fixes which ``ValidationError`` message is raised."""
@@ -274,8 +297,11 @@ def random_loop(n: int, rnd) -> MagmaTable:
     return build_magma(n, rows, "loop")
 
 
+@functools.cache
 def naive_parenthesizations(table: MagmaTable, c: int, k: int) -> frozenset:
-    """All values of k-factor products of c, by direct recursion."""
+    """All values of k-factor products of c, by direct recursion, memoised
+    so that k can pass 2m for an element whose right-power cycle has m
+    elements."""
     if k == 1:
         return frozenset((c,))
     vals = set()

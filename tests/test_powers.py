@@ -27,7 +27,14 @@ from oracle import (
     right_power_reference,
 )
 
-GAP_LOOPS = [powers_gap_loop(m, n)[0] for m, n in ((2, 3), (4, 3), (3, 5), (2, 7), (3, 3))]
+GAP_PARAMS = ((2, 3), (4, 3), (3, 5), (2, 7), (3, 3))
+GAP_LOOPS = [powers_gap_loop(m, n)[0] for m, n in GAP_PARAMS]
+# element 2 has right powers 2, 1, 0, so m = 3: its parenthesization sets
+# 1..3 are singletons but set 2m - 2 = 4 is {2, 4}, as 1*1 = 4
+LAST_SET_BREAKS = build_magma(6, [[0, 1, 2, 3, 4, 5], [1, 4, 0, 2, 5, 3], [2, 0, 1, 5, 3, 4],
+                                  [3, 2, 5, 4, 0, 1], [4, 5, 3, 0, 1, 2], [5, 3, 4, 1, 2, 0]], "loop")
+PROFILE_LOOPS = [*GAP_LOOPS[:2], jordan_tower(2), even_jordan(6), odd_jordan(7), cyclic_group(8),
+                 LAST_SET_BREAKS]
 
 CIRC_23_GOLDEN = [
     [0, 1, 2, 3],
@@ -82,6 +89,34 @@ class TestParenthesizations:
             profile = power_profile(table, x, 8)
             for k in range(1, 9):
                 assert profile[k] == naive_parenthesizations(table, x, k), (x, k)
+
+    @settings(max_examples=80)
+    @given(data=st.data())
+    def test_past_twice_the_cycle_matches_naive_recursion(self, data):
+        """Past set 2m - 2, m being the length of c's right-power cycle,
+        the profile fills in c^(k mod m) when the sets so far are
+        singletons; a power-gap loop's generator, whose sets stop being
+        singletons at m*n, and random loops take products throughout."""
+        table = data.draw(st.sampled_from(PROFILE_LOOPS) | st.builds(
+            random_loop, st.integers(1, 6), st.randoms(use_true_random=False)))
+        c = data.draw(st.integers(0, table.order - 1))
+        m = next(k for k in range(1, table.order + 1) if right_power_reference(table, c, k) == 0)
+        max_k = 2 * m + data.draw(st.integers(1, 6))
+        profile = power_profile(table, c, max_k, cap=max_k)
+        assert profile[1:] == [naive_parenthesizations(table, c, k) for k in range(1, max_k + 1)]
+
+    def test_set_2m_minus_2_is_taken(self):
+        profile = power_profile(LAST_SET_BREAKS, 2, 12)
+        assert profile[1:5] == [{2}, {1}, {0}, {2, 4}]
+        assert profile[1:] == [naive_parenthesizations(LAST_SET_BREAKS, 2, k) for k in range(1, 13)]
+
+    def test_gap_generator_past_twice_its_cycle(self):
+        for (m, n), table in zip(GAP_PARAMS, GAP_LOOPS):
+            c = 1 + n
+            cycle = table.order  # c = (1, 1) generates Z_n x Z_s
+            profile = power_profile(table, c, 2 * cycle + 1, cap=2 * cycle + 1)
+            assert [len(s) == 1 for s in profile[1:m * n + 1]] == [True] * (m * n - 1) + [False]
+            assert profile[1:] == [naive_parenthesizations(table, c, k) for k in range(1, 2 * cycle + 2)]
 
     def test_parenthesization_set_shortcut(self):
         gap, c = powers_gap_loop(2, 3)

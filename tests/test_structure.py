@@ -375,9 +375,10 @@ def test_relabelling_maps_closures_and_simplicity(case):
 @example((symmetric_group_3()[0], [0, 2, 5, 1, 4, 3]))
 def test_element_keys_are_relabelling_invariant(case):
     t, perm = case
-    keys = _element_keys(t.rows)
-    image = _element_keys(relabel(t, perm).rows)
-    assert all(image[perm[x]] == keys[x] for x in range(t.order))
+    for defect in (False, True):
+        keys = _element_keys(t.rows, defect)
+        image = _element_keys(relabel(t, perm).rows, defect)
+        assert all(image[perm[x]] == keys[x] for x in range(t.order))
 
 
 class TestSimplicity:
