@@ -167,6 +167,8 @@ def find_counterexample(table: MagmaTable, prop: PropertyTag) -> str | None:
             return "no two-sided identity element"
         return None
     if prop == "commutative":
+        if rows == tuple(zip(*rows)):
+            return None
         for x in range(n):
             for y in range(x + 1, n):
                 if rows[x][y] != rows[y][x]:
@@ -710,10 +712,29 @@ def _table_lines(table: MagmaTable):
 
 def _cells_text(n: int):
     """Map the n*n cell bytes of order-n loops (n <= 64) to their joined
-    ``serialize_table(t) + "\\n"``: one stream of symbols (the header's
-    characters as 64 and up, the cells, a tail), each filling a tens digit,
-    a ones digit and a separator, or 0s, which are dropped."""
+    ``serialize_table(t) + "\\n"``.  With one-digit labels (n <= 10) every
+    cell has a fixed place in a table's text, so the tables are laid into
+    copies of one template, one strided copy per cell, and the labels
+    become digits by one translate.  Otherwise the text is one stream of
+    symbols (the header's characters as 64 and up, the cells, a tail), each
+    filling a tens digit, a ones digit and a separator, or 0s, which are
+    dropped."""
     head = f"order {n}\nkind loop\n".encode()
+    if n <= 10:
+        # cell k of a table sits after the header, two bytes per cell:
+        # the label, then a space or the row's newline
+        template = head + ((b"\0 " * n)[:-1] + b"\n") * n + b"\n"
+        size, cells = len(template), n * n
+        digits = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+        def text(*tables: bytes) -> str:
+            joined = b"".join(tables).translate(digits)
+            buf = bytearray(template * len(tables))
+            for k in range(cells):
+                buf[len(head) + 2 * k :: size] = joined[k::cells]
+            return buf.decode()
+
+        return text
     tens = (bytes(48 + v // 10 if v > 9 else 0 for v in range(64)) + head + b"\n").ljust(256, b"\0")
     ones = bytes(48 + v % 10 for v in range(64)).ljust(256, b"\0")
     start, end = bytes(range(64, 64 + len(head))), bytes([64 + len(head)])

@@ -517,14 +517,21 @@ def group_orbits(group, n: int) -> list:
 
 def least_under_stabiliser(group, row) -> bool:
     """Whether no permutation p in ``group`` fixing a = row[0] maps ``row``,
-    row a of a loop, to a smaller row, where p puts p(row[j]) at p(j)."""
+    row a of a loop, to a smaller row, where p puts p(row[j]) at p(j).  On a
+    partial row (-1 where unset) the image is smaller when, at the first
+    position where it differs from the row, both are set and the image is
+    the smaller, with both set at every position before it."""
     for p in group:
         if p[row[0]] == row[0]:
-            image = [0] * len(row)
+            image = [-1] * len(row)
             for j, v in enumerate(row):
-                image[p[j]] = p[v]
-            if image < list(row):
-                return False
+                if v >= 0:
+                    image[p[j]] = p[v]
+            for x, y in zip(image, row):
+                if x < 0 or y < 0 or x > y:
+                    break
+                if x < y:
+                    return False
     return True
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import resource
@@ -151,6 +152,19 @@ class TestSearch:
         assert run(["search", "--order", "6", *iso]) == 0
         assert len(calls) == 1 and calls[0].up_to_iso
         assert "classes=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "order,digest",
+        [(8, "713ac53703ed1ae228edce70f5cc7293abc7032485bb3b07e966405c3a180508"),
+         (9, "49e120ce489cbaad77ba511ed955765512e6c69ad391be397522667da346b3ba")],
+    )
+    def test_labelled_listing_pinned(self, order, digest, capsys):
+        """The SHA-256 of the labelled listing's tables, the footer left out,
+        recorded before the listing was formatted one cell at a time."""
+        assert run(["search", "--order", str(order)]) == 0
+        out = capsys.readouterr().out
+        tables = out[: out.rindex("# nodes=")]
+        assert hashlib.sha256(tables.encode()).hexdigest() == digest
 
     def test_no_jordan_superset(self, capsys):
         assert run(["search", "--order", "5", "--no-jordan"]) == 0

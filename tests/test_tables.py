@@ -528,6 +528,23 @@ class TestLineLevelChecks:
         assert text(chunk[0]) == serialize_table(MagmaTable(n, rows, "loop")) + "\n"
         assert text() == ""
 
+    @pytest.mark.parametrize("n", range(1, 65))
+    @settings(max_examples=1)
+    @given(st.integers(0, 2**32))
+    def test_cells_text_batches_match_serialize_table(self, n, seed):
+        """Batches of random labels below, at and above the CLI's chunk of
+        256 tables, against ``serialize_table`` one table at a time."""
+        rnd = random.Random(seed)
+        labels = bytes(v % n for v in range(256))
+        chunk = [rnd.randbytes(n * n).translate(labels) for _ in range(257)]
+        expected = [
+            serialize_table(MagmaTable(n, [cells[i * n : i * n + n] for i in range(n)], "loop")) + "\n"
+            for cells in chunk
+        ]
+        text = _cells_text(n)
+        for k in (0, 1, 255, 256, 257):
+            assert text(*chunk[:k]) == "".join(expected[:k]), k
+
     @settings(max_examples=100)
     @given(st.integers(1, 64), st.sampled_from(KINDS), st.integers(0, 3),
            st.randoms(use_true_random=False))
