@@ -45,23 +45,34 @@ def _parenthesization_sets(rows, c: int):
     of every product of k factors c, split at its outermost product into
     i and k - i factors.
 
-    At most 2m - 2 sets take products, m being the length of c's
-    right-power cycle: when sets 1..2m-2 are singletons, c^i * c^j =
-    c^((i+j) mod m) for all i, j < m, so <c> is cyclic and every later set
-    is the singleton c^(k mod m).
+    While sets 1..k-1 are the singletons c^i, set k is the singleton c^k,
+    the right power c * c^(k-1), exactly when every other split
+    c^i * c^(k-i) gives c^k, so no set is built.  Past set 2m - 2, m being
+    the length of c's right-power cycle, every set is a singleton: when
+    sets 1..2m-2 are, c^i * c^j = c^((i+j) mod m) for all i, j < m, so <c>
+    is cyclic and set k is c^(k mod m).
     """
     powers = _right_powers(rows[c])
     m = len(powers)
-    sets = [None, frozenset((c,))]
+    cycle = powers * 2
+    for k in range(1, 2 * m - 1):
+        ck = cycle[k]
+        for i in range(2, k):
+            if rows[cycle[i]][cycle[k - i]] != ck:
+                break
+        else:
+            yield frozenset((ck,))
+            continue
+        break
+    else:
+        for k in count(2 * m - 1):
+            yield frozenset((powers[k % m],))
+    # set k is the first that is not a singleton
+    sets = [None, *(frozenset((p,)) for p in cycle[1:k])]
     while True:
-        yield sets[-1]
-        k = len(sets)
-        if k == 2 * m - 1 and all(len(s) == 1 for s in sets[1:]):
-            break
         sets.append(frozenset({rows[a][b] for i in range(1, k) for a in sets[i] for b in sets[k - i]}))
-    singletons = [frozenset((p,)) for p in powers]
-    for k in count(k):
-        yield singletons[k % m]
+        yield sets[k]
+        k += 1
 
 
 def power_profile(table: MagmaTable, c: int, max_k: int, cap: int = DEFAULT_EXPONENT_CAP) -> list:
@@ -91,9 +102,9 @@ def is_well_defined(table: MagmaTable, c: int, k: int) -> bool:
 
     The first parenthesization set that is not a singleton ends the walk:
     while sets 1..j-1 are singletons c^i, set j is a singleton exactly when
-    every split c^i * c^(j-i) agrees.  The walk needs at most 2m sets, m
-    being the length of c's right-power cycle, by the rule that
-    ``_parenthesization_sets`` applies past set 2m - 2.
+    every split c^i * c^(j-i) agrees.  The walk needs at most 2m - 2 sets,
+    m being the length of c's right-power cycle: past them
+    ``_parenthesization_sets`` yields only singletons.
     """
     _require_loop(table, "is_well_defined")
     _check_element(table, c)
@@ -101,7 +112,7 @@ def is_well_defined(table: MagmaTable, c: int, k: int) -> bool:
     if k < 0:
         raise ValueError(f"exponent must be nonnegative, got {k}")
     rows = table.rows
-    k = min(k, 2 * len(_right_powers(rows[c])))
+    k = min(k, 2 * len(_right_powers(rows[c])) - 2)
     return all(len(s) == 1 for s in islice(_parenthesization_sets(rows, c), k))
 
 

@@ -406,18 +406,17 @@ class _State:
         return best
 
 
-def _seeded(pt: PartialTable, require_jordan: bool) -> _State | None:
-    """A search state holding the cells of ``pt``, closed under Latin
-    singles, commutativity mirroring and every Jordan instance; None on
-    contradiction.  ``process_queue`` checks only the instances an
+def _seeded(n: int, cells, require_jordan: bool) -> _State | None:
+    """A search state holding the n*n ``cells`` of a partial table, closed
+    under Latin singles, commutativity mirroring and every Jordan instance;
+    None on contradiction.  ``process_queue`` checks only the instances an
     assignment triggers, so the instances with x*x > 0 are then swept until
     none assigns: the state is a fixpoint of every rule."""
-    n = pt.order
     state = _State(n, require_jordan)
     T = state.T
     # assign writes (i,j) and (j,i) together, so a mirror that disagrees
     # with its already-set twin is caught like any other clash
-    for k, v in enumerate(pt.cells):
+    for k, v in enumerate(cells):
         if v == -1 or v == T[k]:
             continue
         if T[k] != -1 or not state.assign(k // n, k % n, v):
@@ -444,7 +443,7 @@ def propagate(pt: PartialTable, require_jordan: bool = True) -> PartialTable | N
     """Close a partial table under Latin singles, commutativity mirroring,
     and Jordan triggers; None on contradiction."""
     _check_bool(require_jordan, "require_jordan")
-    state = _seeded(pt, require_jordan)
+    state = _seeded(pt.order, pt.cells, require_jordan)
     return None if state is None else PartialTable(pt.order, tuple(state.T))
 
 
@@ -594,24 +593,20 @@ def _squaring_classes(n: int):
 
 
 def _class_seeds(n: int):
-    """The partial tables to search from, one per squaring class.
+    """The cells to search from, one seed per squaring class.
 
     Each holds its class's diagonal.  The zero diagonal, which leaves all of
     S_(n-1) as symmetry, also gets row 1: in an exponent-2 loop L_a swaps 0
     and a and moves every other point, so relabelling a to 1 and then
     conjugating by permutations that fix 0 and 1 reaches row 1 = (1, 0, d)
-    with d one derangement of 2..n-1 per cycle type.
-
-    Each seed is valid by construction, so it is built by ``_unchecked``:
-    the border is the identity, a squaring map fixes no x > 0, and row 1
-    of a zero diagonal is 1, 0 and a derangement of 2..n-1."""
+    with d one derangement of 2..n-1 per cycle type."""
     blank = [-1] * (n * n)
     blank[:n] = blank[::n] = range(n)
     for sq in _squaring_classes(n):
         cells = list(blank)
         cells[:: n + 1] = sq
         if n & 1 or any(sq):
-            yield _unchecked(n, tuple(cells))
+            yield tuple(cells)
         else:
             yield from _exponent2_seeds(n, cells)
 
@@ -623,20 +618,7 @@ def _exponent2_seeds(n: int, cells: list):
         for (p,) in lengths:
             row += _rotation(p, len(row))
         cells[n : 2 * n] = row
-        yield _unchecked(n, tuple(cells))
-
-
-def _unchecked(n: int, cells: tuple) -> PartialTable:
-    """The ``PartialTable`` of cells that are valid by construction, built
-    without ``__post_init__``'s checks of every cell, as ``tables._freeze``
-    freezes a table.  A valid line holds each symbol once, so the sum of
-    its symbols' bits is its mask."""
-    pt = object.__new__(PartialTable)
-    lines = [cells[i * n : i * n + n] for i in range(n)] + [cells[j::n] for j in range(n)]
-    masks = tuple(sum(1 << v for v in line if v >= 0) for line in lines)
-    for name, value in zip(("order", "cells", "row_masks", "col_masks"), (n, cells, masks[:n], masks[n:])):
-        object.__setattr__(pt, name, value)
-    return pt
+        yield tuple(cells)
 
 
 class _Leftover:
@@ -655,9 +637,8 @@ class _Leftover:
     unmapped preimages by colour extends pi over the mapped components, and
     the unmapped components left on the two sides pair off by type."""
 
-    def __init__(self, pt: PartialTable, tick):
-        n, diagonal = pt.order, pt.cells[:: pt.order + 1]
-        self.f = f = diagonal if any(diagonal) or n == 1 else pt.cells[n : 2 * n]
+    def __init__(self, f, tick):
+        self.f, n = f, len(f)
         self.n, self.tick, self.steps, self.trail = n, tick, 0, []
         self.pi, self.inv = [0] + [-1] * (n - 1), [0] + [-1] * (n - 1)
         # an element only maps to one of its colour: split colours by the
@@ -762,7 +743,7 @@ def _row1_cut(state: _State):
     return cut
 
 
-def _search_seed(pt: PartialTable, options: SearchOptions, stats: SearchStats, tick):
+def _search_seed(cells: tuple, options: SearchOptions, stats: SearchStats, tick):
     """Yield the cells of each of the seed's completions whose row a is
     least and, for a zero diagonal, whose L_1 gives the least row 1 (see the
     module docstring).  Row a is filled first, in ``select_in`` order, and
@@ -772,16 +753,18 @@ def _search_seed(pt: PartialTable, options: SearchOptions, stats: SearchStats, t
     n = options.order
     stats.nodes += 1
     tick()
-    state = _seeded(pt, options.require_jordan)
+    state = _seeded(n, cells, options.require_jordan)
     if state is None:
         stats.failures += 1
         return
-    group = _Leftover(pt, tick)
+    diagonal = cells[:: n + 1]
+    exponent2 = n > 1 and not any(diagonal)
+    group = _Leftover(cells[n : 2 * n] if exponent2 else diagonal, tick)
     orbit = group.orbits()
     a = max(range(1, n), key=lambda x: (orbit.count(orbit[x]), -x), default=0)
     group.extend(a, a)
     row = slice(a * n, a * n + n)
-    cut = _row1_cut(state) if n > 1 and not any(pt.cells[:: n + 1]) else None
+    cut = _row1_cut(state) if exponent2 else None
     T, pi = state.T, group.pi
     prefix_cut = cut
     # an element of G fixing a maps each unmapped element to an unmapped one
@@ -900,8 +883,8 @@ def enumerate_loops(options: SearchOptions) -> tuple[list[MagmaTable], SearchSta
     tick = partial(_check_limits, options, stats, start)
     labellings = factorial(n - 1)
     forms = {}
-    for pt in _class_seeds(n):
-        for cells in _search_seed(pt, options, stats, tick):
+    for seed in _class_seeds(n):
+        for cells in _search_seed(seed, options, stats, tick):
             least, automorphisms = _least_form([cells[i * n : i * n + n] for i in range(n)])
             forms[least] = automorphisms
             stats.completions += 1

@@ -715,12 +715,12 @@ def _cells_text(n: int):
     ``serialize_table(t) + "\\n"``.  With one-digit labels (n <= 10) every
     cell has a fixed place in a table's text, so the tables are laid into
     copies of one template, one strided copy per cell, and the labels
-    become digits by one translate.  Otherwise the text is one stream of
-    symbols (the header's characters as 64 and up, the cells, a tail), each
-    filling a tens digit, a ones digit and a separator, or 0s, which are
-    dropped."""
-    head = f"order {n}\nkind loop\n".encode()
+    become digits by one translate.  Longer labels go through
+    ``_table_lines``: only the class lists of orders 11 and up reach them,
+    since ``search.LISTING_LIMIT`` refuses every labelled listing past
+    order 9."""
     if n <= 10:
+        head = f"order {n}\nkind loop\n".encode()
         # cell k of a table sits after the header, two bytes per cell:
         # the label, then a space or the row's newline
         template = head + ((b"\0 " * n)[:-1] + b"\n") * n + b"\n"
@@ -735,16 +735,11 @@ def _cells_text(n: int):
             return buf.decode()
 
         return text
-    tens = (bytes(48 + v // 10 if v > 9 else 0 for v in range(64)) + head + b"\n").ljust(256, b"\0")
-    ones = bytes(48 + v % 10 for v in range(64)).ljust(256, b"\0")
-    start, end = bytes(range(64, 64 + len(head))), bytes([64 + len(head)])
-    seps = b"\0" * len(head) + (b" " * (n - 1) + b"\n") * n + b"\0"
+    lines = [slice(i * n, i * n + n) for i in range(n)]
 
     def text(*tables: bytes) -> str:
-        symbols = b"".join(start + cells + end for cells in tables)
-        buf = bytearray(3 * len(symbols))
-        buf[::3], buf[1::3], buf[2::3] = symbols.translate(tens), symbols.translate(ones), seps * len(tables)
-        return buf.translate(None, b"\0").decode()
+        loops = (MagmaTable(n, map(cells.__getitem__, lines), "loop") for cells in tables)
+        return "".join(line for loop in loops for line in (*_table_lines(loop), "\n"))
 
     return text
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+import math
 import time
 from operator import itemgetter
 
@@ -474,6 +475,36 @@ def conjugacy_key(sq) -> tuple:
     return tuple(best)
 
 
+def squaring_class_key(sq) -> tuple:
+    """A key of the functional graph of a map of 0..n-1 that is equal for
+    two maps exactly when they are conjugate, as ``conjugacy_key`` is, but
+    built in polynomial time: the sorted forms of its components, each the
+    greatest rotation of its cycle's hanging trees, a tree being the sorted
+    tuple of its subtrees."""
+    n = len(sq)
+    cyclic = set()
+    for x in range(n):
+        for _ in range(n):
+            x = sq[x]
+        cyclic.add(x)  # n steps from any point end on a cycle
+    below = [[y for y in range(n) if sq[y] == x and y not in cyclic] for x in range(n)]
+
+    def tree(x):
+        return tuple(sorted(map(tree, below[x])))
+
+    components, seen = [], set()
+    for x in sorted(cyclic):
+        if x in seen:
+            continue
+        cycle = [x]
+        while sq[cycle[-1]] != x:
+            cycle.append(sq[cycle[-1]])
+        seen.update(cycle)
+        trees = tuple(map(tree, cycle))
+        components.append(max(trees[k:] + trees[:k] for k in range(len(trees))))
+    return tuple(sorted(components))
+
+
 def canonical_form(table: MagmaTable) -> tuple:
     """The least table rows over every identity-fixing relabelling; two loops
     are isomorphic exactly when their canonical forms are equal."""
@@ -500,10 +531,11 @@ def output_digest(tables) -> str:
     return hashlib.sha256("\n\n".join(texts).encode()).hexdigest()
 
 
-def seed_group(pt) -> list:
-    """Every identity-fixing permutation that maps the set cells of the
-    partial table ``pt`` onto themselves, tried one by one."""
-    n, cells = pt.order, pt.cells
+def seed_group(cells) -> list:
+    """Every identity-fixing permutation that maps the set cells of a
+    partial table, given by its n*n ``cells``, onto themselves, tried one by
+    one."""
+    n = math.isqrt(len(cells))
     return [
         p for p in _relabellings(n)
         if all(cells[p[k // n] * n + p[k % n]] == (p[v] if v >= 0 else -1) for k, v in enumerate(cells))

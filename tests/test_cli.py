@@ -166,6 +166,21 @@ class TestSearch:
         tables = out[: out.rindex("# nodes=")]
         assert hashlib.sha256(tables.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "order,digest",
+        [(11, "39edd98db7e25febe07a663db0da18f6d76ccc63e9f9e009e773945b0672c8d7"),
+         pytest.param(13, "238b770bc94e9b3890e39da8dd3f9de35aa2b813bf73cd83ec6f83067bad14e2",
+                      marks=pytest.mark.slow)],
+    )
+    def test_class_list_pinned_past_one_digit_labels(self, order, digest, capsys):
+        """The SHA-256 of the class list's tables, the footer left out, at
+        orders whose labels take two digits; recorded before these lists
+        were formatted by ``_table_lines``."""
+        assert run(["search", "--order", str(order), "--up-to-iso"]) == 0
+        out = capsys.readouterr().out
+        tables = out[: out.rindex("# nodes=")]
+        assert hashlib.sha256(tables.encode()).hexdigest() == digest
+
     def test_no_jordan_superset(self, capsys):
         assert run(["search", "--order", "5", "--no-jordan"]) == 0
         out = capsys.readouterr().out

@@ -1,10 +1,11 @@
+import hashlib
 import itertools
 import random
 import re
 import time
 from contextlib import contextmanager
 from functools import lru_cache, partial
-from math import factorial
+from math import factorial, isqrt
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from jordanloops.cli import run
 from jordanloops.constructions import construct, even_jordan
+from jordanloops.powers import is_power_associative, powers_gap_loop
 from jordanloops.search import (
     PartialTable,
     SearchIncomplete,
@@ -33,8 +35,10 @@ from jordanloops.search import (
     enumerate_loops,
     propagate,
 )
+from jordanloops.structure import is_simple
 from jordanloops.tables import (
     ValidationError,
+    _element_keys,
     _least_form,
     _row1_cycles,
     build_magma,
@@ -56,9 +60,14 @@ from oracle import (
     relabel,
     row1_is_least,
     seed_group,
+    squaring_class_key,
 )
 
 ORDER8_CLASSES = parse_tables((Path(__file__).parent / "data" / "order8_classes.txt").read_text())
+CENSUS = [
+    line for line in (Path(__file__).parent / "data" / "census.txt").read_text().splitlines()
+    if line and not line.startswith("#")
+]
 
 # (nodes, failures, models_found) of the labelled search from the blank
 # table (oracle.labelled_reference), keyed by (order, require_jordan).  Any
@@ -442,13 +451,13 @@ def test_propagate_checks_only_set_nonzero_squares(searched, data):
 
 
 def test_class_seeds_equal_their_validated_tables():
-    """The seeds, built without ``PartialTable``'s cell checks, equal the
-    tables those checks accept, masks included."""
+    """The seeds are distinct cell tuples, each accepted unchanged by
+    ``PartialTable``'s cell checks."""
     for n in range(1, 13):
         seeds = list(_class_seeds(n))
         assert len(seeds) == len(set(seeds))
-        for pt in seeds:
-            assert pt == PartialTable(n, pt.cells)
+        for cells in seeds:
+            assert type(cells) is tuple and PartialTable(n, cells).cells == cells
 
 
 def test_zero_diagonal_roots_leave_the_row1_cut_nothing():
@@ -460,11 +469,11 @@ def test_zero_diagonal_roots_leave_the_row1_cut_nothing():
         cells[:: n + 1] = [0] * n
         seeds = list(_exponent2_seeds(n, cells))
         if n <= 16:  # the zero-diagonal seeds of _class_seeds, which takes 1.3 s at order 20
-            assert seeds == [pt for pt in _class_seeds(n) if not any(pt.cells[:: n + 1])]
-        for pt in seeds:
-            row1 = pt.cells[n : 2 * n]
+            assert seeds == [seed for seed in _class_seeds(n) if not any(seed[:: n + 1])]
+        for seed in seeds:
+            row1 = seed[n : 2 * n]
             for require_jordan in (True, False):
-                state = _seeded(pt, require_jordan)
+                state = _seeded(n, seed, require_jordan)
                 if all(row1[row1[x]] == x for x in range(n)):
                     assert _row1_cut(state) is None
                 else:
@@ -611,11 +620,53 @@ class TestSquaringClasses:
         classes = [conjugacy_key(sq) for sq in maps]
         assert len(set(classes)) == len(classes)
         every = {
-            conjugacy_key((0, *rest))
-            for rest in itertools.product(range(n), repeat=n - 1)
-            if self._admissible((0, *rest))
+            (conjugacy_key(sq), squaring_class_key(sq))
+            for sq in ((0, *rest) for rest in itertools.product(range(n), repeat=n - 1))
+            if self._admissible(sq)
         }
-        assert every == set(classes)
+        assert {key for key, _ in every} == set(classes)
+        # the census's polynomial key splits the maps as conjugacy does
+        assert len({key for _, key in every}) == len(every) == len(classes)
+
+
+def census_lines(classes) -> list[str]:
+    """The lines of ``tests/data/census.txt`` for one order's class list,
+    least forms in order (the fields are named in the file's header)."""
+    n = classes[0].order
+    index = {squaring_class_key(sq): k for k, sq in enumerate(_squaring_classes(n))}
+    lines = []
+    for c in classes:
+        rows = c.rows
+        squaring = index[squaring_class_key([rows[x][x] for x in range(n)])]
+        flags = (check(c, "associative"), is_simple(c), is_power_associative(c))
+        cells = "".join(format(v, "x") for row in rows for v in row)
+        lines.append(" ".join(map(str, (n, squaring, _least_form(rows)[1], *map(int, flags), cells))))
+    return lines
+
+
+def exponent2_line(classes) -> str:
+    """The census line that pins one order's exponent-2 classes: their
+    count, the sum of (n-1)!/|Aut L| and the SHA-256 of their cells."""
+    n = classes[0].order
+    models = sum(factorial(n - 1) // _least_form(c.rows)[1] for c in classes)
+    digest = hashlib.sha256(b"".join(bytes(v for row in c.rows for v in row) for c in classes))
+    return f"{n} exponent-2 {len(classes)} {models} {digest.hexdigest()}"
+
+
+def census(order: int) -> list[str]:
+    return [line for line in CENSUS if line.split()[0] == str(order)]
+
+
+def assert_distinct_jordan_loops(classes):
+    """Each class is a Jordan loop and no two are isomorphic, checked
+    without ``_least_form``, which is what deduplicates them: only pairs
+    with equal multisets of element keys need ``find_isomorphism``."""
+    buckets = {}
+    for c in classes:
+        assert check(c, "jordan")
+        buckets.setdefault(tuple(sorted(_element_keys(c.rows))), []).append(c)
+    for bucket in buckets.values():
+        assert all(find_isomorphism(a, b) is None for a, b in itertools.combinations(bucket, 2))
 
 
 class TestClassPath:
@@ -657,6 +708,30 @@ class TestClassPath:
         assert find_isomorphism(associative[0], cyclic_group(11)) is not None
         assert sum(find_isomorphism(c, construct(11)) is not None for c in classes) == 1
 
+    def test_census_file(self):
+        """Orders 6-9 and 11 of ``tests/data/census.txt``, recomputed; the
+        sum of (n-1)!/|Aut L| gives the labelled counts, which the labelled
+        search from the blank table confirms at orders 6-9."""
+        for n, models in ((6, 66), (7, 240), (8, 25980), (9, 7560), (11, 6168960)):
+            classes, _ = enumerate_loops(SearchOptions(order=n, up_to_iso=True))
+            lines = census_lines(classes)
+            assert lines == census(n)
+            assert sum(factorial(n - 1) // int(line.split()[2]) for line in lines) == models
+            assert_distinct_jordan_loops(classes)
+
+    def test_least_order_not_power_associative(self):
+        """12 is the least order of a commutative Jordan loop that is not
+        power-associative.  Below order 6 every one is a group; the census
+        lists every class of orders 6-9 and 11, and order 10's classes that
+        are not of exponent 2, as power-associative, and in an exponent-2
+        loop <x> = {0, x}."""
+        for n in range(1, 6):
+            assert all(check(c, "associative") for c in classes_of(n, True))
+        lines = [line.split() for line in CENSUS if "exponent-2" not in line]
+        assert all(fields[5] == "1" for fields in lines if int(fields[0]) < 12)
+        gap, _ = powers_gap_loop(2, 3)
+        assert gap.order == 12 and check(gap, "jordan") and not is_power_associative(gap)
+
     @pytest.mark.slow
     def test_order13_census(self):
         classes, stats = enumerate_loops(SearchOptions(order=13, up_to_iso=True))
@@ -665,6 +740,12 @@ class TestClassPath:
         assert find_isomorphism(associative[0], cyclic_group(13)) is not None
         assert sum(factorial(12) // _least_form(c.rows)[1] for c in classes) == stats.models_found == 11535955200
         assert (stats.nodes, stats.failures, stats.completions) == (908494, 1636235, 697)
+        assert census_lines(classes) == census(13)
+        assert_distinct_jordan_loops(classes)
+        # Mlt(L) is transitive, so a normal subloop's cosets all have its
+        # size, which divides 13: every class is simple
+        assert all(line.split()[4] == "1" for line in census(13))
+        assert sum(find_isomorphism(c, construct(13)) is not None for c in classes) == 1
 
     @pytest.mark.slow
     def test_order10_census(self, capsys, monkeypatch):
@@ -689,6 +770,9 @@ class TestClassPath:
         exponent2 = [c for c in classes if not any(c.rows[x][x] for x in range(10))]
         assert sum(factorial(9) // _least_form(c.rows)[1] for c in exponent2) == 1225566720
         assert _one_factorisations(exponent2) == 396
+        others = [c for c in classes if any(c.rows[x][x] for x in range(10))]
+        assert census_lines(others) + [exponent2_line(exponent2)] == census(10)
+        assert_distinct_jordan_loops(others)
         assert build_magma(10, _least_form(construct(10).rows)[0], "loop") in classes
 
     def test_result_limit_cuts_sorted_classes(self):
@@ -769,9 +853,9 @@ class TestExponent2Filter:
 
         def completions():
             raw = []
-            for pt in _class_seeds(order):
-                if not any(pt.cells[:: order + 1]):
-                    raw += _search_seed(pt, SearchOptions(order), SearchStats(), lambda: None)
+            for seed in _class_seeds(order):
+                if not any(seed[:: order + 1]):
+                    raw += _search_seed(seed, SearchOptions(order), SearchStats(), lambda: None)
             return [tuple(c[i : i + order] for i in range(0, order * order, order)) for c in raw]
 
         cut = completions()
@@ -830,8 +914,16 @@ def _seeds(order):
 
 
 @lru_cache(maxsize=None)
-def _seed_group(pt):
-    return seed_group(pt)
+def _seed_group(seed):
+    return seed_group(seed)
+
+
+def _leftover(seed):
+    """The seed's ``_Leftover``, built from its squaring map, or from its row
+    1 when the squaring map is zero."""
+    n = isqrt(len(seed))
+    diagonal = seed[:: n + 1]
+    return _Leftover(diagonal if any(diagonal) or n == 1 else seed[n : 2 * n], lambda: None)
 
 
 class TestSymmetryBreaking:
@@ -853,13 +945,13 @@ class TestSymmetryBreaking:
 
         monkeypatch.setattr(_Leftover, "smaller", spy)
         verdicts = set()
-        for pt in _seeds(order):
-            group = _seed_group(pt)
-            orbit = _Leftover(pt, lambda: None).orbits()
+        for seed in _seeds(order):
+            group = _seed_group(seed)
+            orbit = _leftover(seed).orbits()
             assert orbit == group_orbits(group, order)
             for require_jordan in (True, False):
                 rows.clear()
-                list(_search_seed(pt, SearchOptions(order, require_jordan), SearchStats(), lambda: None))
+                list(_search_seed(seed, SearchOptions(order, require_jordan), SearchStats(), lambda: None))
                 for row, least in rows:
                     assert least == least_under_stabiliser(group, row)
                     a = row[0]  # the row being filled is row a
@@ -887,20 +979,20 @@ class TestSymmetryBreaking:
 
         monkeypatch.setattr(_Leftover, "smaller", spy)
         checked = 0
-        for pt in _seeds(order):
+        for seed in _seeds(order):
             cut.clear()
-            list(_search_seed(pt, SearchOptions(order), SearchStats(), lambda: None))
+            list(_search_seed(seed, SearchOptions(order), SearchStats(), lambda: None))
             if not cut:
                 continue
             a = cut[0][0]
-            stabiliser = [p for p in _seed_group(pt) if p[a] == a]
+            stabiliser = [p for p in _seed_group(seed) if p[a] == a]
             for row in cut:
                 unset = [k for k, v in enumerate(row) if v < 0]
                 for labels in itertools.permutations(set(range(order)) - set(row)):
                     full = list(row)
                     for k, v in zip(unset, labels):
                         full[k] = v
-                    assert not least_under_stabiliser(stabiliser, full), (pt, row, full)
+                    assert not least_under_stabiliser(stabiliser, full), (seed, row, full)
                     checked += 1
         assert checked  # the cut fires at every one of these orders
 
@@ -911,15 +1003,15 @@ class TestSymmetryBreaking:
         ``smaller`` search for none: checked against the whole group of
         every seed, on random rows and random chains."""
         rng = random.Random(order)
-        for pt in _seeds(order):
-            group = _seed_group(pt)
-            left = _Leftover(pt, lambda: None)
+        for seed in _seeds(order):
+            group = _seed_group(seed)
+            left = _leftover(seed)
             assert left.orbits() == group_orbits(group, order)
             for a in range(1, order):
                 left.extend(a, a)
                 for _ in range(5):
                     row = [a] + rng.sample([v for v in range(order) if v != a], order - 1)
-                    assert left.smaller(row) != least_under_stabiliser(group, row), (pt, row)
+                    assert left.smaller(row) != least_under_stabiliser(group, row), (seed, row)
                 left.undo(0)
             for _ in range(10):
                 for _ in range(order):
@@ -928,7 +1020,7 @@ class TestSymmetryBreaking:
                     if not left.extend(x, rng.choice(left.peers[x])):
                         left.undo(mark)
                 pi = left.pi
-                assert any(all(v < 0 or p[x] == v for x, v in enumerate(pi)) for p in group), (pt, pi)
+                assert any(all(v < 0 or p[x] == v for x, v in enumerate(pi)) for p in group), (seed, pi)
                 left.undo(0)
 
     def test_exponent2_classes_are_one_factorisations(self):
@@ -948,11 +1040,11 @@ class TestSymmetryBreaking:
         n = 12
         cells = list(PartialTable.blank(n).cells)
         cells[:: n + 1] = [0, 0] + [1] * (n - 2)
-        pt = PartialTable(n, tuple(cells))
-        assert _Leftover(pt, lambda: None).orbits() == [0, 1] + [2] * (n - 2)
+        seed = tuple(cells)
+        assert _leftover(seed).orbits() == [0, 1] + [2] * (n - 2)
         options, stats, start = SearchOptions(order=n, time_budget=1), SearchStats(), time.monotonic()
         try:
-            list(_search_seed(pt, options, stats, partial(_check_limits, options, stats, start)))
+            list(_search_seed(seed, options, stats, partial(_check_limits, options, stats, start)))
         except SearchIncomplete:
             pass
         assert time.monotonic() - start < 1.5
@@ -962,9 +1054,9 @@ class TestSymmetryBreaking:
 @given(data=st.data())
 def test_propagated_seed_is_invariant_under_its_group(data):
     order = data.draw(st.integers(3, 8))
-    pt = data.draw(st.sampled_from(_seeds(order)))
-    p = data.draw(st.sampled_from(_seed_group(pt)))
-    closed = propagate(pt, data.draw(st.booleans()))
+    seed = data.draw(st.sampled_from(_seeds(order)))
+    p = data.draw(st.sampled_from(_seed_group(seed)))
+    closed = propagate(PartialTable(order, seed), data.draw(st.booleans()))
     if closed is not None:
         image = [-1] * (order * order)
         for k, v in enumerate(closed.cells):
